@@ -51,32 +51,61 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     region representatives (each region is represented by its smallest member
     index) are lexicographically smallest; merge similarities are recorded
     as-is and need not decrease monotonically.
+
+    Invariant: for every live slot r, `rowmax[r]` is the maximum of `work[r]`
+    over live columns and `rowarg[r]` the first live column holding it; dead
+    slots hold -inf and -1, and their rows and columns in `work` are stale and
+    never read unmasked. The first row holding the largest `rowmax` and its
+    `rowarg` are then the pair a row-major argmax over the live submatrix picks.
+    A merge changes only columns i and j of the other rows, so a row keeps its
+    cache or takes column i unless its cached column lost its maximum; only
+    those rows and row i are rescanned. That is O(N) per merge plus O(N) per
+    rescanned row: O(N^2) time when few rows share a maximum column, O(N^3) at
+    worst, and O(N) memory beyond the N x N work matrix.
     """
     n = matrix.n
     if n < 2:
         raise ValueError("need at least two objects to build a dendrogram")
     work = matrix.values.astype(np.float64, copy=True)
     np.fill_diagonal(work, -np.inf)
-    size = np.ones(n, dtype=np.int64)
-    region = np.arange(n)
+    rowarg = np.argmax(work, axis=1)
+    rowmax = work[np.arange(n), rowarg]
+    dead = np.zeros(n, dtype=bool)
+    size = [1] * n
+    region = list(range(n))
     merges: list[MergeEvent] = []
     for step in range(n - 1):
         # slot s always holds the region whose smallest member is s, so the
-        # row-major argmax lands on the tie-break winner directly
-        flat = int(np.argmax(work))
-        i, j = divmod(flat, n)
+        # first row and column holding the maximum are the tie-break winner
+        i = int(np.argmax(rowmax))
+        j = int(rowarg[i])
         similarity = float(work[i, j])
         new_id = n + step
-        merges.append(MergeEvent(int(region[i]), int(region[j]), new_id, similarity))
+        merges.append(MergeEvent(region[i], region[j], new_id, similarity))
         si, sj = size[i], size[j]
+        dead[j] = True
+        rowmax[j] = -np.inf
+        rowarg[j] = -1
+        # merged[i] is -inf because work[i, i] is
         merged = (si * work[i, :] + sj * work[j, :]) / (si + sj)
+        merged[dead] = -np.inf
         work[i, :] = merged
         work[:, i] = merged
-        work[i, i] = -np.inf
-        work[j, :] = -np.inf
-        work[:, j] = -np.inf
         size[i] = si + sj
         region[i] = new_id
+        # column i now holds `merged`; it becomes a row's first maximum if it
+        # beats the cached one or ties it from the left. A row whose cached
+        # column was i or j and that does not take column i is rescanned.
+        take = (merged > rowmax) | ((merged == rowmax) & (rowarg >= i))
+        rescan = ~take & ((rowarg == i) | (rowarg == j))
+        rescan[i] = True
+        rowmax[take] = merged[take]
+        rowarg[take] = i
+        rows = np.flatnonzero(rescan)
+        block = np.where(dead, -np.inf, work[rows])
+        cols = np.argmax(block, axis=1)
+        rowarg[rows] = cols
+        rowmax[rows] = block[np.arange(rows.size), cols]
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 

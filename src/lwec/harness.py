@@ -272,16 +272,26 @@ def _consensus_k(truth: np.ndarray, config: ExperimentConfig) -> int:
 
 
 def _score_methods(
-    view: EnsembleView, truth: np.ndarray, k: int, theta: float, seed, best_k: bool
+    view: EnsembleView,
+    truth: np.ndarray,
+    k: int,
+    theta: float,
+    seed,
+    best_k: bool,
+    with_eac: bool = True,
 ) -> dict[str, float]:
-    """NMI for lwea/lwgp/eac on one ensemble, at fixed k or maximized over a k sweep."""
+    """NMI for lwea/lwgp/eac on one ensemble, at fixed k or maximized over a k sweep.
+
+    eac does not depend on theta, so a theta sweep skips it with `with_eac=False`.
+    """
     ks = list(range(2, sqrt_k_ceiling(truth.size) + 1)) if best_k else [k]
     report = annotate_validity(view, theta)
     scores: dict[str, float] = {}
     lw_dendro = build_dendrogram(build_lwca(view, report))
     scores["lwea"] = max(nmi(cut_dendrogram(lw_dendro, kk).labels, truth) for kk in ks)
-    ca_dendro = build_dendrogram(build_ca(view))
-    scores["eac"] = max(nmi(cut_dendrogram(ca_dendro, kk).labels, truth) for kk in ks)
+    if with_eac:
+        ca_dendro = build_dendrogram(build_ca(view))
+        scores["eac"] = max(nmi(cut_dendrogram(ca_dendro, kk).labels, truth) for kk in ks)
     graph_ks = [kk for kk in ks if kk <= min(truth.size, view.n_clusters)] or ks[:1]
     scores["lwgp"] = max(
         nmi(lwgp(view, kk, seed=seed, report=report).labels, truth) for kk in graph_ks
@@ -329,7 +339,9 @@ def run_experiment(features, truth, config: ExperimentConfig) -> ExperimentRepor
         for theta in config.theta_grid:
             per_method: dict[str, list[float]] = {"lwea": [], "lwgp": []}
             for r, view in enumerate(views):
-                scores = _score_methods(view, truth, k, theta, _subseed(config.seed, 2, r), best_k)
+                scores = _score_methods(
+                    view, truth, k, theta, _subseed(config.seed, 2, r), best_k, with_eac=False
+                )
                 per_method["lwea"].append(scores["lwea"])
                 per_method["lwgp"].append(scores["lwgp"])
             for method, vals in per_method.items():

@@ -131,6 +131,39 @@ def average_link_ref(values: np.ndarray) -> list[tuple[int, int, int, float]]:
     return merges
 
 
+def average_link_argmax_ref(values: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """Merge sequence (left_id, right_id, new_id, similarity) by full-matrix argmax.
+
+    The size-weighted average-link recurrence on a work copy, with one
+    row-major argmax over the whole N x N matrix per merge and dead rows and
+    columns set to -inf. Being O(N^3), it is the exact-float oracle for the
+    incremental loop in `build_dendrogram` at realistic N: same recurrence,
+    same tie rule, same recorded similarities.
+    """
+    n = values.shape[0]
+    work = values.astype(np.float64, copy=True)
+    np.fill_diagonal(work, -np.inf)
+    size = np.ones(n, dtype=np.int64)
+    region = np.arange(n)
+    merges = []
+    for step in range(n - 1):
+        flat = int(np.argmax(work))
+        i, j = divmod(flat, n)
+        similarity = float(work[i, j])
+        new_id = n + step
+        merges.append((int(region[i]), int(region[j]), new_id, similarity))
+        si, sj = size[i], size[j]
+        merged = (si * work[i, :] + sj * work[j, :]) / (si + sj)
+        work[i, :] = merged
+        work[:, i] = merged
+        work[i, i] = -np.inf
+        work[j, :] = -np.inf
+        work[:, j] = -np.inf
+        size[i] = si + sj
+        region[i] = new_id
+    return merges
+
+
 def cut_ref(merges, n: int, k: int) -> np.ndarray:
     parent = list(range(2 * n - 1))
     for left, right, new_id, _ in merges[: n - k]:

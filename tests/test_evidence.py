@@ -10,12 +10,14 @@ from lwec import (
     LabelMatrix,
     ValidityReport,
     annotate_validity,
+    build_ca,
     build_dendrogram,
     build_ensemble_view,
     build_lwca,
     cut_dendrogram,
     eac,
     lwea,
+    make_gaussian_blobs,
 )
 
 import reference as ref
@@ -68,6 +70,65 @@ class TestBuildDendrogram:
         for got, (left, right, new_id, sim) in zip(d.merges, expected):
             assert (got.left, got.right, got.new_id) == (left, right, new_id)
             assert got.similarity == pytest.approx(sim, abs=1e-12)
+
+
+def merge_tuples(dendrogram):
+    return [(e.left, e.right, e.new_id, e.similarity) for e in dendrogram.merges]
+
+
+def voronoi_label_array(features, m, rng):
+    """m columns, each assigning every object to the nearest of k random objects."""
+    n = features.shape[0]
+    cols = []
+    for _ in range(m):
+        k = int(rng.integers(2, int(np.ceil(np.sqrt(n))) + 1))
+        centers = features[rng.choice(n, size=k, replace=False)]
+        cols.append(((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1))
+    return np.column_stack(cols)
+
+
+class TestArgmaxOracleAtScale:
+    """Exact merge-for-merge agreement with the full-matrix argmax loop."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tied_integer_coassociation(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(100, 401))
+        arr = random_label_array(rng, n, int(rng.integers(2, 6)), max_clusters=4)
+        matrix = build_ca(build_ensemble_view(LabelMatrix.from_array(arr)))
+        # few distinct values, so most maxima are tied
+        assert np.unique(matrix.values).size <= arr.shape[1] + 1
+        assert merge_tuples(build_dendrogram(matrix)) == ref.average_link_argmax_ref(matrix.values)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_blob_voronoi_lwca_with_inversions(self, seed):
+        x, _ = make_gaussian_blobs(300, [[0, 0], [6, 0], [3, 5]], spread=1.5, seed=seed)
+        arr = voronoi_label_array(x, 10, np.random.default_rng(seed))
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        matrix = build_lwca(view, annotate_validity(view, 0.4))
+        expected = ref.average_link_argmax_ref(matrix.values)
+        sims = [merge[3] for merge in expected]
+        assert any(later > earlier for earlier, later in zip(sims, sims[1:]))
+        assert merge_tuples(build_dendrogram(matrix)) == expected
+
+    def test_ties_made_by_rounding(self):
+        # entries one or two ulps apart: a merged average can round up to
+        # exactly tie a row's maximum from a column left of it
+        near = np.nextafter(0.3, 0.0)
+        palette = np.array([0.3, near, np.nextafter(near, 0.0), 0.1, 0.7])
+        rng = np.random.default_rng(1)
+        for _ in range(3000):
+            n = int(rng.integers(4, 9))
+            upper = np.triu(palette[rng.integers(0, palette.size, (n, n))], 1)
+            values = upper + upper.T
+            np.fill_diagonal(values, 1.0)
+            got = merge_tuples(build_dendrogram(sym_matrix(values)))
+            assert got == ref.average_link_argmax_ref(values)
+
+    def test_all_zero_matrix(self):
+        values = np.zeros((200, 200))
+        got = merge_tuples(build_dendrogram(sym_matrix(values)))
+        assert got == ref.average_link_argmax_ref(values)
 
 
 class TestCutDendrogram:

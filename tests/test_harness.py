@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lwec import (
     ExperimentConfig,
+    build_ca,
     draw_ensemble,
     generate_pool,
     kmeans,
@@ -194,6 +195,38 @@ class TestExperiment:
         for method in ("lwea", "lwgp"):
             values = [r.value for r in rows if r.method == method]
             assert tuple(values) == grid
+
+    def test_theta_grid_builds_plain_coassociation_once_per_draw(self, monkeypatch):
+        import lwec.harness as harness
+
+        calls = []
+
+        def counting_build_ca(view):
+            calls.append(view)
+            return build_ca(view)
+
+        monkeypatch.setattr(harness, "build_ca", counting_build_ca)
+        x, y = make_gaussian_blobs(60, [[0, 0], [4, 4], [8, 0]], spread=1.8, seed=5)
+        config = ExperimentConfig(
+            pool_size=10, ensemble_size=4, runs=2, seed=23, theta_grid=(0.2, 0.4, 1.0)
+        )
+        out = io.StringIO()
+        run_experiment(x, y, config).to_csv(out)
+        # eac ignores theta: it is scored in the main runs only
+        assert len(calls) == config.runs
+        assert out.getvalue() == (
+            "method,parameter,value,runs,mean_nmi,std_nmi\n"
+            "lwea,theta,0.4,2,0.715215,0.023959\n"
+            "lwgp,theta,0.4,2,0.689691,0.049483\n"
+            "eac,theta,0.4,2,0.654942,0.058456\n"
+            "base,theta,0.4,2,0.648728,0.017100\n"
+            "lwea,theta,0.2,2,0.680441,0.010815\n"
+            "lwgp,theta,0.2,2,0.642136,0.001928\n"
+            "lwea,theta,0.4,2,0.715215,0.023959\n"
+            "lwgp,theta,0.4,2,0.689691,0.049483\n"
+            "lwea,theta,1,2,0.715215,0.023959\n"
+            "lwgp,theta,1,2,0.665732,0.025524\n"
+        )
 
     def test_m_grid_rows(self, blobs):
         x, y = blobs
