@@ -9,7 +9,6 @@ weighted co-association matrix) and weighted bipartite graph partitioning
 """
 
 from .ensemble import (
-    ClusterRecord,
     ConsensusResult,
     DegenerateClusteringWarning,
     EnsembleView,
@@ -20,13 +19,7 @@ from .ensemble import (
     write_label_matrix,
     write_labels,
 )
-from .validity import (
-    ValidityReport,
-    annotate_validity,
-    eci,
-    uncertainty_wrt_clustering,
-    uncertainty_wrt_ensemble,
-)
+from .validity import ValidityReport, annotate_validity, eci, uncertainty_table
 from .coassoc import CoassocMatrix, build_ca, build_lwca
 from .evidence import Dendrogram, build_dendrogram, cut_dendrogram, eac, lwea
 from .graphcut import BipartiteGraph, PartitionWarning, build_lwbg, lwgp, tcut_partition
@@ -44,7 +37,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterRecord",
     "ConsensusResult",
     "DegenerateClusteringWarning",
     "EnsembleView",
@@ -57,8 +49,7 @@ __all__ = [
     "ValidityReport",
     "annotate_validity",
     "eci",
-    "uncertainty_wrt_clustering",
-    "uncertainty_wrt_ensemble",
+    "uncertainty_table",
     "CoassocMatrix",
     "build_ca",
     "build_lwca",

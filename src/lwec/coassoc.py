@@ -13,7 +13,7 @@ from typing import IO
 
 import numpy as np
 
-from .ensemble import EnsembleView
+from .ensemble import EnsembleView, _write_text
 from .validity import ValidityReport
 
 __all__ = ["CoassocMatrix", "build_ca", "build_lwca", "write_lower_triangle"]
@@ -31,21 +31,26 @@ class CoassocMatrix:
         return self.values.shape[0]
 
 
+def _accumulate(view: EnsembleView, weights: np.ndarray) -> np.ndarray:
+    """Add each cluster's weight to every pair of its members, then divide by M:
+    O(sum |C|^2) work instead of O(N^2 M). Clusters go in id order, which fixes
+    the rounding of every weighted sum."""
+    n = view.n_objects
+    values = np.zeros((n, n))
+    for members, weight in zip(view.members(), weights):
+        values[np.ix_(members, members)] += weight
+    values /= view.n_clusterings
+    values.flags.writeable = False
+    return values
+
+
 def build_ca(view: EnsembleView) -> CoassocMatrix:
     """Plain co-association: per-pair co-occurrence count divided by M.
 
-    Accumulates over clusters rather than object pairs: each cluster
-    contributes one count to every pair of its members, which is O(sum |C|^2)
-    work and exact (integer counts, single final division).
+    Every cluster weighs 1, so the sums are exact small integers and only the
+    final division rounds.
     """
-    n = view.n_objects
-    counts = np.zeros((n, n), dtype=np.int64)
-    for record in view.clusters:
-        idx = np.ix_(record.members, record.members)
-        counts[idx] += 1
-    values = counts / view.n_clusterings
-    values.flags.writeable = False
-    return CoassocMatrix(values=values, kind="ca")
+    return CoassocMatrix(values=_accumulate(view, np.ones(view.n_clusters)), kind="ca")
 
 
 def build_lwca(view: EnsembleView, report: ValidityReport) -> CoassocMatrix:
@@ -53,19 +58,18 @@ def build_lwca(view: EnsembleView, report: ValidityReport) -> CoassocMatrix:
 
     The diagonal becomes the mean reliability of the clusters containing each
     object; off-diagonal entries are dominated by the plain co-association.
+    Raises ValueError if every weight is 0 (theta small enough to underflow
+    them all), since the matrix would then hold no evidence.
     """
     if len(report.eci) != view.n_clusters:
         raise ValueError(
             f"report covers {len(report.eci)} clusters, view has {view.n_clusters}"
         )
-    n = view.n_objects
-    values = np.zeros((n, n))
-    for record in view.clusters:
-        idx = np.ix_(record.members, record.members)
-        values[idx] += report.eci[record.id]
-    values /= view.n_clusterings
-    values.flags.writeable = False
-    return CoassocMatrix(values=values, kind="lwca")
+    if not report.eci.any():
+        raise ValueError(
+            f"every cluster weight underflows to 0 at theta={report.theta:g}; use a larger theta"
+        )
+    return CoassocMatrix(values=_accumulate(view, report.eci), kind="lwca")
 
 
 def write_lower_triangle(matrix: CoassocMatrix, out: str | IO[str]) -> None:
@@ -74,9 +78,4 @@ def write_lower_triangle(matrix: CoassocMatrix, out: str | IO[str]) -> None:
         ",".join(f"{v:.10g}" for v in matrix.values[i, : i + 1])
         for i in range(matrix.n)
     ]
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", out)

@@ -1,4 +1,4 @@
-"""Ensemble model: label matrices, pooled cluster records, and wire formats.
+"""Ensemble model: label matrices, the pooled cluster incidence, and wire formats.
 
 A base clustering assigns every object exactly one cluster label; an ensemble
 stacks M base clusterings over the same N objects column-wise. Labels are
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DegenerateClusteringWarning",
     "LabelMatrix",
-    "ClusterRecord",
     "EnsembleView",
     "ConsensusResult",
     "parse_label_matrix",
@@ -102,29 +101,13 @@ class LabelMatrix:
         return sum(self.clusters_per_column)
 
 
-@dataclass(eq=False)
-class ClusterRecord:
-    """One pooled cluster: its source clustering, members, and (once computed)
-    its ensemble uncertainty in bits and reliability weight."""
-
-    id: int
-    source: int
-    label: int
-    members: np.ndarray
-    uncertainty: float | None = None
-    eci: float | None = None
-
-    @property
-    def size(self) -> int:
-        return int(self.members.size)
-
-
 @dataclass(frozen=True)
 class EnsembleView:
-    """Label matrix plus the pooled cluster set and per-cell cluster ids."""
+    """Label matrix plus cluster_ids[i, m], the pooled id of object i's cluster in
+    column m: the only representation of the pooled clusters. Column m's clusters
+    get ids column_offsets[m] .. column_offsets[m + 1] - 1, in dense label order."""
 
     labels: LabelMatrix
-    clusters: tuple[ClusterRecord, ...]
     column_offsets: np.ndarray
     cluster_ids: np.ndarray
 
@@ -138,53 +121,29 @@ class EnsembleView:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return int(self.column_offsets[-1])
 
-    def column_clusters(self, column: int) -> tuple[ClusterRecord, ...]:
-        lo = int(self.column_offsets[column])
-        hi = int(self.column_offsets[column + 1])
-        return self.clusters[lo:hi]
+    def members(self) -> list[np.ndarray]:
+        """Member indices of every pooled cluster, in cluster-id order, each sorted."""
+        out: list[np.ndarray] = []
+        for column in self.labels.labels.T:
+            order = np.argsort(column, kind="stable")
+            out.extend(np.split(order, np.cumsum(np.bincount(column))[:-1]))
+        return out
 
 
 def build_ensemble_view(labels: LabelMatrix) -> EnsembleView:
-    """Materialize the pooled cluster set from a label matrix.
+    """Number the pooled clusters of a label matrix column by column.
 
     The dense per-column label representation makes the partition invariants
-    (disjoint clusters covering all objects within a column) hold by
-    construction; member lists come out sorted by object index.
+    (disjoint, non-empty clusters covering all objects within a column) hold
+    by construction.
     """
-    n, m = labels.labels.shape
-    counts = labels.clusters_per_column
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    records: list[ClusterRecord] = []
-    for col in range(m):
-        column = labels.labels[:, col]
-        order = np.argsort(column, kind="stable")
-        bounds = np.cumsum(np.bincount(column, minlength=counts[col]))
-        start = 0
-        for label, stop in enumerate(bounds):
-            members = order[start:stop].copy()
-            members.flags.writeable = False
-            if members.size == 0:
-                raise ValueError(f"empty cluster {label} in column {col}")
-            records.append(
-                ClusterRecord(
-                    id=int(offsets[col]) + label,
-                    source=col,
-                    label=label,
-                    members=members,
-                )
-            )
-            start = stop
+    offsets = np.concatenate(([0], np.cumsum(labels.clusters_per_column)))
     cluster_ids = labels.labels + offsets[:-1][None, :]
     cluster_ids.flags.writeable = False
     offsets.flags.writeable = False
-    return EnsembleView(
-        labels=labels,
-        clusters=tuple(records),
-        column_offsets=offsets,
-        cluster_ids=cluster_ids,
-    )
+    return EnsembleView(labels=labels, column_offsets=offsets, cluster_ids=cluster_ids)
 
 
 @dataclass(frozen=True)
@@ -215,6 +174,15 @@ def _read_text(source: str | IO[str] | Iterable[str]) -> str:
     if isinstance(source, str):
         return source
     return "\n".join(source)
+
+
+def _write_text(text: str, out: str | IO[str]) -> None:
+    """Write to an open text stream, or create the file at path `out`."""
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text)
 
 
 def parse_label_matrix(source: str | IO[str] | Iterable[str]) -> LabelMatrix:
@@ -258,11 +226,7 @@ def parse_label_matrix(source: str | IO[str] | Iterable[str]) -> LabelMatrix:
 def write_label_matrix(matrix: LabelMatrix, out: str | IO[str]) -> None:
     """Serialize dense labels as CSV (the same wire format parse accepts)."""
     text = "\n".join(",".join(str(v) for v in row) for row in matrix.labels) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write_text(text, out)
 
 
 def read_labels(source: str | IO[str] | Iterable[str]) -> np.ndarray:
@@ -283,9 +247,4 @@ def read_labels(source: str | IO[str] | Iterable[str]) -> np.ndarray:
 
 def write_labels(labels: np.ndarray, out: str | IO[str]) -> None:
     """Write one integer label per line (0-based)."""
-    text = "\n".join(str(int(v)) for v in np.asarray(labels)) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(str(int(v)) for v in np.asarray(labels)) + "\n", out)

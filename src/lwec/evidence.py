@@ -121,13 +121,9 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int, method: str = "average-link")
     for event in dendrogram.merges[: n - k]:
         parent[event.left] = event.new_id
         parent[event.right] = event.new_id
-    roots = np.empty(n, dtype=np.int64)
-    for leaf in range(n):
-        node = leaf
-        while parent[node] != node:
-            node = parent[node]
-        roots[leaf] = node
-    return ConsensusResult(labels=relabel_first_appearance(roots), k=k, method=method)
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]  # pointer jumping: every node ends at its root
+    return ConsensusResult(labels=relabel_first_appearance(parent[:n]), k=k, method=method)
 
 
 def lwea(

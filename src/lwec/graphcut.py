@@ -41,60 +41,70 @@ INDUCED_SEARCH_LIMIT = 20_000
 class BipartiteGraph:
     """Membership edges between N object nodes and n_c cluster nodes.
 
-    Every object carries exactly one edge per base clustering, so there are
-    N * M edges in total; each weight is the ECI of the cluster endpoint.
+    Object i has one edge per base clustering, to cluster cluster_ids[i, m];
+    every edge into cluster c weighs weights[c], the cluster's ECI. A cluster
+    of weight 0 has no edges.
     """
 
-    n_objects: int
-    n_clusters: int
-    objects: np.ndarray
-    clusters: np.ndarray
+    cluster_ids: np.ndarray
     weights: np.ndarray
 
+    @property
+    def n_objects(self) -> int:
+        return self.cluster_ids.shape[0]
+
+    @property
+    def n_clusters(self) -> int:
+        return self.weights.size
+
     def affinity(self) -> np.ndarray:
-        """Dense N x n_c edge-weight matrix (zero where no edge)."""
-        b = np.zeros((self.n_objects, self.n_clusters))
-        b[self.objects, self.clusters] = self.weights
+        """Dense N x n_c edge-weight matrix (zero where no edge), zero-weight clusters left out."""
+        keep = self.weights > 0
+        column = np.cumsum(keep) - 1
+        objects, cells = np.nonzero(keep[self.cluster_ids])
+        clusters = self.cluster_ids[objects, cells]
+        b = np.zeros((self.n_objects, int(column[-1]) + 1))
+        b[objects, column[clusters]] = self.weights[clusters]
         return b
 
 
 def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
-    """Build the reliability-weighted bipartite graph of an annotated ensemble."""
+    """Build the reliability-weighted bipartite graph of an annotated ensemble.
+
+    Raises ValueError if all of some object's cluster weights underflow to 0.
+    """
     if len(report.eci) != view.n_clusters:
         raise ValueError(
             f"report covers {len(report.eci)} clusters, view has {view.n_clusters}"
         )
-    n, m = view.n_objects, view.n_clusterings
-    objects = np.repeat(np.arange(n), m)
-    clusters = view.cluster_ids.ravel().copy()
-    weights = report.eci[clusters]
-    for arr in (objects, clusters, weights):
-        arr.flags.writeable = False
-    return BipartiteGraph(
-        n_objects=n,
-        n_clusters=view.n_clusters,
-        objects=objects,
-        clusters=clusters,
-        weights=weights,
-    )
+    isolated = np.flatnonzero(~(report.eci > 0)[view.cluster_ids].any(axis=1))
+    if isolated.size:
+        raise ValueError(
+            f"at theta={report.theta:g}, {isolated.size} objects (first {isolated[0]}) "
+            "have only zero-weight clusters; use a larger theta"
+        )
+    return BipartiteGraph(cluster_ids=view.cluster_ids, weights=report.eci)
 
 
 def _connected_components(graph: BipartiteGraph) -> np.ndarray:
-    """Component id per object node (union over shared cluster endpoints)."""
-    parent = np.arange(graph.n_objects + graph.n_clusters)
+    """Component id per object node; zero-weight clusters join nothing.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for obj, cl in zip(graph.objects, graph.clusters):
-        ra, rb = find(int(obj)), find(graph.n_objects + int(cl))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(i) for i in range(graph.n_objects)])
-    return relabel_first_appearance(roots)
+    Min-label propagation object -> cluster -> object plus pointer jumping
+    (a label always names an object of the same component), until each
+    component carries its least object index.
+    """
+    ids = graph.cluster_ids
+    dead = ~(graph.weights > 0)
+    comp = np.arange(graph.n_objects)
+    while True:
+        low = np.full(graph.n_clusters, graph.n_objects)
+        np.minimum.at(low, ids, comp[:, None])
+        low[dead] = graph.n_objects
+        step = np.minimum(comp, low[ids].min(axis=1))
+        step = step[step]
+        if np.array_equal(step, comp):
+            return relabel_first_appearance(comp)
+        comp = step
 
 
 def _partition_ncut(b: np.ndarray, obj_labels: np.ndarray, cl_labels: np.ndarray, k: int) -> float:
@@ -121,12 +131,9 @@ def _best_induced_partition(b: np.ndarray, k: int) -> np.ndarray | None:
         return None
     best_value = np.inf
     best_labels = None
-    assignment = np.zeros(nc, dtype=np.int64)
+    digits = k ** np.arange(nc)
     for code in range(k**nc):
-        value = code
-        for pos in range(nc):
-            assignment[pos] = value % k
-            value //= k
+        assignment = code // digits % k  # base-k digits of code, least significant first
         zc = np.zeros((nc, k))
         zc[np.arange(nc), assignment] = 1.0
         obj_labels = (b @ zc).argmax(axis=1)
@@ -231,7 +238,7 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     assigned greedily to k labels instead (largest k-1 kept apart, remainder
     pooled) and a PartitionWarning is issued.
     """
-    n, nc = graph.n_objects, graph.n_clusters
+    n, nc = graph.n_objects, int((graph.weights > 0).sum())
     if not 2 <= k <= min(n, nc):
         raise ValueError(
             f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}"

@@ -14,7 +14,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .ensemble import EnsembleView, LabelMatrix, build_ensemble_view
+from .ensemble import EnsembleView, LabelMatrix, _read_text, _write_text, build_ensemble_view
 from .evidence import build_dendrogram, cut_dendrogram, eac, lwea
 from .coassoc import build_lwca, build_ca
 from .graphcut import lwgp
@@ -51,15 +51,9 @@ def validate_features(features) -> np.ndarray:
 
 def read_features(source: str | IO[str] | Iterable[str]) -> np.ndarray:
     """Read a CSV of reals, one row per object; '#' header and blank lines skipped."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = "\n".join(source)
     rows: list[list[float]] = []
     width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -79,11 +73,7 @@ def read_features(source: str | IO[str] | Iterable[str]) -> np.ndarray:
 
 def write_features(features: np.ndarray, out: str | IO[str]) -> None:
     text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in np.asarray(features)) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write_text(text, out)
 
 
 def make_gaussian_blobs(
@@ -257,12 +247,7 @@ class ExperimentReport:
             lines.append(
                 f"{r.method},{r.parameter},{r.value:g},{len(r.per_run)},{r.mean:.6f},{r.std:.6f}"
             )
-        text = "\n".join(lines) + "\n"
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            with open(out, "w") as fh:
-                fh.write(text)
+        _write_text("\n".join(lines) + "\n", out)
 
 
 def _consensus_k(truth: np.ndarray, config: ExperimentConfig) -> int:

@@ -14,12 +14,11 @@ from typing import IO
 
 import numpy as np
 
-from .ensemble import ClusterRecord, EnsembleView
+from .ensemble import EnsembleView, _write_text
 
 __all__ = [
     "ValidityReport",
-    "uncertainty_wrt_clustering",
-    "uncertainty_wrt_ensemble",
+    "uncertainty_table",
     "eci",
     "annotate_validity",
     "write_validity_csv",
@@ -30,26 +29,29 @@ __all__ = [
 DEFAULT_THETA = 0.4
 
 
-def _entropy_bits(counts: np.ndarray) -> float:
-    # 0 * log 0 taken as 0: empty intersections are skipped
-    total = counts.sum()
-    p = counts[counts > 0] / total
-    return float(max(-(p * np.log2(p)).sum(), 0.0))
+def uncertainty_table(view: EnsembleView) -> np.ndarray:
+    """n_c x M table: entry (c, m) is the entropy in bits of cluster c's members
+    over column m's clusters; a cluster's own column holds 0.
 
-
-def uncertainty_wrt_clustering(cluster: ClusterRecord, column: int, view: EnsembleView) -> float:
-    """Entropy in bits of the cluster's member distribution over one column's clusters."""
-    target = view.labels.labels[cluster.members, column]
-    counts = np.bincount(target, minlength=view.labels.clusters_per_column[column])
-    return _entropy_bits(counts)
-
-
-def uncertainty_wrt_ensemble(cluster: ClusterRecord, view: EnsembleView) -> float:
-    """Sum of per-column uncertainties; the cluster's own column contributes 0."""
-    return sum(
-        uncertainty_wrt_clustering(cluster, column, view)
-        for column in range(view.n_clusterings)
-    )
+    Intersection counts come from per-column-pair contingency tables built in
+    one pass over the objects, so the whole table is O(N * M^2).
+    """
+    labels = view.labels.labels
+    counts = view.labels.clusters_per_column
+    offsets = view.column_offsets
+    m = view.n_clusterings
+    table = np.zeros((view.n_clusters, m))
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            joint = labels[:, a] * counts[b] + labels[:, b]
+            pairs = np.bincount(joint, minlength=counts[a] * counts[b]).reshape(counts[a], -1)
+            p = pairs / pairs.sum(axis=1, keepdims=True)
+            safe_p = np.where(pairs > 0, p, 1.0)
+            ent = -(p * np.log2(safe_p)).sum(axis=1)
+            table[offsets[a]:offsets[a + 1], b] = np.maximum(ent, 0.0)
+    return table
 
 
 def eci(uncertainty: float, theta: float, ensemble_size: int) -> float:
@@ -76,34 +78,18 @@ class ValidityReport:
 def annotate_validity(view: EnsembleView, theta: float = DEFAULT_THETA) -> ValidityReport:
     """Compute uncertainty and reliability for every pooled cluster.
 
-    Intersection counts come from per-column-pair contingency tables built in
-    one pass over the objects, so the whole annotation is O(N * M^2). The
-    per-cluster fields on the view's ClusterRecords are filled in as well.
+    A cluster's uncertainty is its row of `uncertainty_table`, added up one
+    column at a time in column order: a pairwise row sum rounds differently,
+    and the last bit of a weight can change an average-link merge.
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    labels = view.labels.labels
-    counts = view.labels.clusters_per_column
-    offsets = view.column_offsets
     m = view.n_clusterings
+    table = uncertainty_table(view)
     total = np.zeros(view.n_clusters)
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            joint = labels[:, a] * counts[b] + labels[:, b]
-            table = np.bincount(joint, minlength=counts[a] * counts[b]).reshape(
-                counts[a], counts[b]
-            )
-            sizes = table.sum(axis=1, keepdims=True)
-            p = table / sizes
-            safe_p = np.where(table > 0, p, 1.0)
-            ent = -(p * np.log2(safe_p)).sum(axis=1)
-            total[offsets[a]:offsets[a + 1]] += np.maximum(ent, 0.0)
+    for column in range(m):
+        total += table[:, column]
     weights = np.exp(-total / (theta * m))
-    for record, u, w in zip(view.clusters, total, weights):
-        record.uncertainty = float(u)
-        record.eci = float(w)
     total.flags.writeable = False
     weights.flags.writeable = False
     return ValidityReport(uncertainty=total, eci=weights, theta=theta, ensemble_size=m)
@@ -111,14 +97,9 @@ def annotate_validity(view: EnsembleView, theta: float = DEFAULT_THETA) -> Valid
 
 def write_validity_csv(report: ValidityReport, view: EnsembleView, out: str | IO[str]) -> None:
     """Export per-cluster validity as CSV: cluster, source, size, uncertainty, eci."""
+    sources = np.repeat(np.arange(view.n_clusterings), np.diff(view.column_offsets))
+    sizes = np.bincount(view.cluster_ids.ravel(), minlength=view.n_clusters)
     lines = ["cluster,source,size,uncertainty,eci"]
-    for record in view.clusters:
-        u = report.uncertainty[record.id]
-        w = report.eci[record.id]
-        lines.append(f"{record.id},{record.source},{record.size},{u:.12g},{w:.12g}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    for c, (source, size, u, w) in enumerate(zip(sources, sizes, report.uncertainty, report.eci)):
+        lines.append(f"{c},{source},{size},{u:.12g},{w:.12g}")
+    _write_text("\n".join(lines) + "\n", out)

@@ -37,6 +37,12 @@ def worked_view(worked_matrix):
     return build_ensemble_view(worked_matrix)
 
 
+def column_members(view, column: int) -> list[np.ndarray]:
+    """Member arrays of one column's clusters, in cluster-id order."""
+    lo, hi = view.column_offsets[column], view.column_offsets[column + 1]
+    return view.members()[lo:hi]
+
+
 def random_label_array(rng: np.random.Generator, n: int, m: int, max_clusters: int = 5) -> np.ndarray:
     """Random dense label matrix with 2..max_clusters non-empty clusters per column."""
     cols = []

@@ -208,6 +208,37 @@ def nmi_ref(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
+# connected components of the object-cluster bipartite graph (BFS)
+
+
+def components_ref(labels: np.ndarray) -> np.ndarray:
+    """Component id per object, numbered by first appearance; two objects are
+    joined when some column gives them the same label."""
+    n, m = labels.shape
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        for col in range(m):
+            groups.setdefault((col, int(labels[i, col])), []).append(i)
+    comp = [-1] * n
+    count = 0
+    for start in range(n):
+        if comp[start] >= 0:
+            continue
+        comp[start] = count
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for col in range(m):
+                # a group is expanded once, when BFS first reaches it
+                for j in groups.pop((col, int(labels[i, col])), []):
+                    if comp[j] < 0:
+                        comp[j] = count
+                        queue.append(j)
+        count += 1
+    return np.array(comp)
+
+
+# ---------------------------------------------------------------------------
 # normalized cut on the object-cluster bipartite graph
 
 

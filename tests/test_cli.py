@@ -3,12 +3,15 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from lwec import make_gaussian_blobs, parse_label_matrix, read_labels
+from lwec import LabelMatrix, make_gaussian_blobs, parse_label_matrix, read_labels, write_label_matrix
 from lwec.cli import main
 from lwec.harness import write_features
 from lwec.ensemble import write_labels
+
+from conftest import random_label_array
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,23 @@ class TestConsensusCommand:
         )
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("method", ["lwea", "lwgp"])
+    def test_theta_underflowing_every_weight_fails(self, tmp_path, capsys, method):
+        # random labels leave no cluster with zero uncertainty, so at this
+        # theta every weight underflows to 0
+        noisy = tmp_path / "noisy.csv"
+        arr = random_label_array(np.random.default_rng(71), 30, 5)
+        write_label_matrix(LabelMatrix.from_array(arr), str(noisy))
+        code = run_cli(
+            ["consensus", "--labels", noisy, "--method", method, "--k", 3,
+             "--theta", "1e-300", "--out", tmp_path / "x.txt"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "theta=1e-300" in err
 
 
 class TestEvalCommand:

@@ -30,7 +30,7 @@ def unit_report(view) -> ValidityReport:
 class TestBuildCa:
     def test_stable_trio_pairs_are_one(self, worked_view):
         ca = build_ca(worked_view)
-        trio = worked_view.column_clusters(0)[1].members
+        trio = worked_view.members()[1]
         for i in trio:
             for j in trio:
                 assert ca.values[i, j] == 1.0
@@ -82,7 +82,7 @@ class TestBuildLwca:
     def test_worked_example_pair_inside_stable_trio(self, worked_view):
         report = annotate_validity(worked_view, theta=0.5)
         lwca = build_lwca(worked_view, report)
-        trio = worked_view.column_clusters(0)[1].members
+        trio = worked_view.members()[1]
         i, j = int(trio[0]), int(trio[1])
         containing = [worked_view.cluster_ids[i, col] for col in range(3)]
         expected = sum(report.eci[c] for c in containing) / 3

@@ -18,7 +18,7 @@ from lwec import (
 )
 from lwec.ensemble import relabel_first_appearance
 
-from conftest import label_arrays, random_label_array
+from conftest import column_members, label_arrays, random_label_array
 
 
 class TestParsing:
@@ -80,7 +80,7 @@ class TestParsing:
 
 class TestEnsembleView:
     def test_worked_example_first_column_sizes(self, worked_view):
-        sizes = [c.size for c in worked_view.column_clusters(0)]
+        sizes = [c.size for c in column_members(worked_view, 0)]
         assert sizes == [8, 3, 5]
 
     def test_single_degenerate_column(self):
@@ -88,22 +88,25 @@ class TestEnsembleView:
             m = LabelMatrix.from_array(np.full((5, 1), 9))
         view = build_ensemble_view(m)
         assert view.n_clusters == 1
-        assert view.clusters[0].members.tolist() == [0, 1, 2, 3, 4]
+        assert view.members()[0].tolist() == [0, 1, 2, 3, 4]
 
     def test_duplicate_columns_duplicate_members(self):
         col = np.array([0, 1, 0, 2, 1])
         view = build_ensemble_view(LabelMatrix.from_array(np.column_stack([col, col])))
         assert view.n_clusters == 6
-        for a, b in zip(view.column_clusters(0), view.column_clusters(1)):
-            assert a.members.tolist() == b.members.tolist()
+        for a, b in zip(column_members(view, 0), column_members(view, 1)):
+            assert a.tolist() == b.tolist()
 
     def test_cluster_ids_consistent_with_members(self):
         rng = np.random.default_rng(5)
         arr = random_label_array(rng, 20, 3)
         view = build_ensemble_view(LabelMatrix.from_array(arr))
-        for rec in view.clusters:
-            cells = np.flatnonzero(view.cluster_ids[:, rec.source] == rec.id)
-            assert cells.tolist() == rec.members.tolist()
+        members = view.members()
+        assert len(members) == view.n_clusters
+        for col in range(view.n_clusterings):
+            for c in range(view.column_offsets[col], view.column_offsets[col + 1]):
+                cells = np.flatnonzero(view.cluster_ids[:, col] == c)
+                assert cells.tolist() == members[c].tolist()
 
     @given(label_arrays())
     @settings(max_examples=60)
@@ -111,7 +114,7 @@ class TestEnsembleView:
         view = build_ensemble_view(LabelMatrix.from_array(arr))
         n = view.n_objects
         for col in range(view.n_clusterings):
-            seen = np.concatenate([c.members for c in view.column_clusters(col)])
+            seen = np.concatenate(column_members(view, col))
             assert sorted(seen.tolist()) == list(range(n))
 
     @given(label_arrays())

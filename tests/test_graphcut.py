@@ -1,22 +1,31 @@
 """Bipartite graph construction and the transfer-cut partitioner."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lwec import (
     BipartiteGraph,
+    ExperimentConfig,
     LabelMatrix,
     PartitionWarning,
     ValidityReport,
     annotate_validity,
     build_ensemble_view,
     build_lwbg,
+    draw_ensemble,
+    generate_pool,
+    lwea,
     lwgp,
+    make_gaussian_blobs,
     tcut_partition,
 )
+from lwec.graphcut import _connected_components
 
 import reference as ref
-from conftest import random_label_array
+from conftest import label_arrays, random_label_array
 
 
 def graph_from(view, theta=0.5):
@@ -33,14 +42,14 @@ class TestBuildLwbg:
     def test_edge_count_and_weights(self, worked_view):
         report = annotate_validity(worked_view, 0.5)
         graph = build_lwbg(worked_view, report)
-        assert graph.objects.size == 16 * 3
+        assert graph.cluster_ids.size == 16 * 3
         assert (graph.weights > 0).all() and (graph.weights <= 1).all()
-        assert np.allclose(graph.weights, report.eci[graph.clusters])
+        assert np.allclose(graph.weights[graph.cluster_ids], report.eci[worked_view.cluster_ids])
 
     def test_stable_trio_cluster_degree(self, worked_view):
         graph = graph_from(worked_view)
-        trio = worked_view.column_clusters(0)[1]
-        incident = graph.weights[graph.clusters == trio.id]
+        trio = 1  # cluster id of column 0's second cluster
+        incident = graph.weights[graph.cluster_ids[graph.cluster_ids == trio]]
         assert incident.size == 3
         assert np.allclose(incident, incident[0])
         assert incident[0] == 1.0  # zero uncertainty -> full reliability
@@ -48,13 +57,13 @@ class TestBuildLwbg:
     def test_membership_edges_only(self, worked_view):
         graph = graph_from(worked_view)
         b = graph.affinity()
-        for rec in worked_view.clusters:
-            members = set(rec.members.tolist())
+        for c, members in enumerate(worked_view.members()):
+            members = set(members.tolist())
             for obj in range(16):
                 if obj in members:
-                    assert b[obj, rec.id] > 0
+                    assert b[obj, c] > 0
                 else:
-                    assert b[obj, rec.id] == 0.0
+                    assert b[obj, c] == 0.0
 
     def test_dimension_mismatch_rejected(self, worked_view):
         bad = ValidityReport(np.zeros(2), np.ones(2), 1.0, 3)
@@ -70,10 +79,12 @@ class TestBuildLwbg:
                 LabelMatrix.from_array(random_label_array(rng, n, m))
             )
             graph = graph_from(view, theta=0.4)
-            assert graph.objects.size == n * m
+            assert graph.cluster_ids.size == n * m
             assert (graph.weights > 0).all() and (graph.weights <= 1).all()
             report = annotate_validity(view, 0.4)
-            assert np.array_equal(graph.weights, report.eci[graph.clusters])
+            assert np.array_equal(
+                graph.weights[graph.cluster_ids], report.eci[view.cluster_ids]
+            )
 
 
 class TestTcutPartition:
@@ -111,34 +122,10 @@ class TestTcutPartition:
                 LabelMatrix.from_array(random_label_array(rng, 14, 3))
             )
             graph = graph_from(view, theta=0.4)
-            scaled = BipartiteGraph(
-                n_objects=graph.n_objects,
-                n_clusters=graph.n_clusters,
-                objects=graph.objects,
-                clusters=graph.clusters,
-                weights=graph.weights * 2.0,
-            )
+            scaled = BipartiteGraph(graph.cluster_ids, graph.weights * 2.0)
             a = tcut_partition(graph, 3, seed=trial)
             b = tcut_partition(scaled, 3, seed=trial)
             assert np.array_equal(a.labels, b.labels)
-
-    def test_edge_insertion_order_irrelevant(self):
-        rng = np.random.default_rng(19)
-        view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, 12, 3)))
-        graph = graph_from(view)
-        perm = rng.permutation(graph.objects.size)
-        shuffled = BipartiteGraph(
-            n_objects=graph.n_objects,
-            n_clusters=graph.n_clusters,
-            objects=graph.objects[perm],
-            clusters=graph.clusters[perm],
-            weights=graph.weights[perm],
-        )
-        for k in (2, 3, 4):
-            assert np.array_equal(
-                tcut_partition(graph, k, seed=k).labels,
-                tcut_partition(shuffled, k, seed=k).labels,
-            )
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(23)
@@ -203,3 +190,77 @@ class TestLwgp:
         stepwise = tcut_partition(build_lwbg(view, report), 3, seed=5)
         composed = lwgp(view, 3, theta=0.6, seed=5)
         assert np.array_equal(stepwise.labels, composed.labels)
+
+
+class TestConnectedComponents:
+    @given(label_arrays(max_n=12, max_m=3))
+    @settings(max_examples=80)
+    def test_matches_bfs_oracle(self, arr):
+        m = LabelMatrix.from_array(arr)
+        view = build_ensemble_view(m)
+        graph = BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
+        assert np.array_equal(_connected_components(graph), ref.components_ref(m.labels))
+
+    def test_shuffled_two_column_chain_is_one_component(self):
+        # column 0 pairs objects (0, 1), (2, 3), ...; column 1 pairs (1, 2),
+        # (3, 4), ...: one path through all objects, in shuffled row order
+        n = 2000
+        idx = np.arange(n)
+        arr = np.column_stack([idx // 2, (idx + 1) // 2])[np.random.default_rng(41).permutation(n)]
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        expected = ref.components_ref(view.labels.labels)
+        assert expected.max() == 0
+        assert np.array_equal(_connected_components(graph_from(view)), expected)
+
+    def test_disconnected_blocks(self):
+        view = blocks_view([4, 3, 2], copies=2)
+        components = _connected_components(graph_from(view))
+        assert components.tolist() == [0] * 4 + [1] * 3 + [2] * 2
+        assert np.array_equal(components, ref.components_ref(view.labels.labels))
+
+    def test_zero_weight_cluster_joins_nothing(self):
+        # a third column puts every object in one cluster; at weight 0 that
+        # cluster has no edges, so the blocks of the first two stay apart
+        col = np.repeat([0, 1, 2], [4, 3, 2])
+        arr = np.column_stack([col, col, np.zeros(9, dtype=int)])
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        weights = np.ones(view.n_clusters)
+        weights[-1] = 0.0
+        graph = BipartiteGraph(view.cluster_ids, weights)
+        assert np.array_equal(_connected_components(graph), ref.components_ref(arr[:, :2]))
+        pair = BipartiteGraph(view.cluster_ids[:, :2], weights[:-1])
+        assert np.array_equal(graph.affinity(), pair.affinity())
+
+
+@pytest.fixture(scope="module")
+def blob_view_m20():
+    """200 blob points, a 20-member k-means pool, and all 20 members drawn."""
+    x, _ = make_gaussian_blobs(200, [[0.0, 0.0], [9.0, 9.0], [18.0, 0.0]], spread=1.0, seed=1)
+    pool = generate_pool(x, ExperimentConfig(pool_size=20, ensemble_size=20, seed=0))
+    return build_ensemble_view(draw_ensemble(pool, 20, seed=3))
+
+
+class TestZeroWeights:
+    def test_some_underflowing_weights_give_clean_labels(self, blob_view_m20):
+        eci = annotate_validity(blob_view_m20, 1e-3).eci
+        assert 0 < (eci == 0).sum() < eci.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph_labels = lwgp(blob_view_m20, 3, theta=1e-3, seed=0).labels
+            tree_labels = lwea(blob_view_m20, 3, theta=1e-3).labels
+        assert np.unique(graph_labels).size == 3
+        assert np.unique(tree_labels).size == 3
+
+    def test_object_with_only_zero_weight_clusters_rejected(self, blob_view_m20):
+        assert annotate_validity(blob_view_m20, 1e-9).eci.any()
+        with pytest.raises(ValueError, match="theta=1e-09"):
+            lwgp(blob_view_m20, 3, theta=1e-9, seed=0)
+
+    def test_all_weights_zero_rejected(self):
+        rng = np.random.default_rng(61)
+        view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, 300, 10)))
+        assert not annotate_validity(view, 1e-300).eci.any()
+        with pytest.raises(ValueError, match="theta=1e-300"):
+            lwea(view, 3, theta=1e-300)
+        with pytest.raises(ValueError, match="theta=1e-300"):
+            lwgp(view, 3, theta=1e-300, seed=0)

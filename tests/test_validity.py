@@ -1,5 +1,6 @@
 """Cluster uncertainty and reliability-weight behavior, checked against naive oracles."""
 
+import io
 import itertools
 import math
 
@@ -12,46 +13,52 @@ from lwec import (
     annotate_validity,
     build_ensemble_view,
     eci,
-    uncertainty_wrt_clustering,
-    uncertainty_wrt_ensemble,
+    uncertainty_table,
 )
 from lwec.validity import write_validity_csv
 
 import reference as ref
-from conftest import WORKED_UNCERTAINTY, label_arrays, random_label_array
+from conftest import WORKED_UNCERTAINTY, column_members, label_arrays, random_label_array
+
+
+def cluster_sources(view) -> np.ndarray:
+    """Source column of every pooled cluster, by cluster id."""
+    return np.repeat(np.arange(view.n_clusterings), np.diff(view.column_offsets))
 
 
 class TestUncertaintyWrtClustering:
     def test_worked_example_split_2_3_3(self, worked_view):
-        big = worked_view.column_clusters(0)[0]
+        big = worked_view.members()[0]
         assert big.size == 8
-        assert uncertainty_wrt_clustering(big, 1, worked_view) == pytest.approx(1.56, abs=0.01)
+        assert uncertainty_table(worked_view)[0, 1] == pytest.approx(1.56, abs=0.01)
 
     def test_contained_cluster_is_zero(self, worked_view):
-        trio = worked_view.column_clusters(0)[1]
+        table = uncertainty_table(worked_view)
         for col in range(3):
-            assert uncertainty_wrt_clustering(trio, col, worked_view) == 0.0
+            assert table[1, col] == 0.0
 
     def test_uniform_four_way_split_is_two_bits(self):
         arr = np.column_stack([np.zeros(4, dtype=int), np.arange(4)])
         view = build_ensemble_view(LabelMatrix.from_array(arr))
-        whole = view.column_clusters(0)[0]
-        assert uncertainty_wrt_clustering(whole, 1, view) == 2.0
+        assert uncertainty_table(view)[0, 1] == 2.0
 
     def test_own_column_exactly_zero(self):
         rng = np.random.default_rng(0)
         view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, 12, 3)))
-        for rec in view.clusters:
-            assert uncertainty_wrt_clustering(rec, rec.source, view) == 0.0
+        table = uncertainty_table(view)
+        for c, source in enumerate(cluster_sources(view)):
+            assert table[c, source] == 0.0
 
     @given(label_arrays(max_n=8, max_m=3))
     @settings(max_examples=80)
     def test_bounded_by_log_cluster_count(self, arr):
         view = build_ensemble_view(LabelMatrix.from_array(arr))
         counts = view.labels.clusters_per_column
-        for rec in view.clusters:
+        table = uncertainty_table(view)
+        assert table.shape == (view.n_clusters, view.n_clusterings)
+        for c in range(view.n_clusters):
             for col in range(view.n_clusterings):
-                h = uncertainty_wrt_clustering(rec, col, view)
+                h = table[c, col]
                 assert 0.0 <= h <= math.log2(counts[col]) + 1e-12
 
     @given(label_arrays(max_n=8, max_m=3))
@@ -59,12 +66,11 @@ class TestUncertaintyWrtClustering:
     def test_matches_contingency_oracle(self, arr):
         m = LabelMatrix.from_array(arr)
         view = build_ensemble_view(m)
-        for rec in view.clusters:
+        table = uncertainty_table(view)
+        for c, members in enumerate(view.members()):
             for col in range(view.n_clusterings):
-                expected = ref.cluster_uncertainty_ref(m.labels, rec.members, col)
-                assert uncertainty_wrt_clustering(rec, col, view) == pytest.approx(
-                    expected, abs=1e-12
-                )
+                expected = ref.cluster_uncertainty_ref(m.labels, members, col)
+                assert table[c, col] == pytest.approx(expected, abs=1e-12)
 
     def test_exhaustive_tiny_ensembles(self):
         # every pair of set partitions of 4 objects, as a 2-column ensemble
@@ -81,10 +87,11 @@ class TestUncertaintyWrtClustering:
             arr = np.column_stack([p1, p2])
             m = LabelMatrix.from_array(arr)
             view = build_ensemble_view(m)
-            for rec in view.clusters:
+            table = uncertainty_table(view)
+            for c, members in enumerate(view.members()):
                 for col in range(2):
-                    expected = ref.cluster_uncertainty_ref(m.labels, rec.members, col)
-                    got = uncertainty_wrt_clustering(rec, col, view)
+                    expected = ref.cluster_uncertainty_ref(m.labels, members, col)
+                    got = table[c, col]
                     assert abs(got - expected) <= 1e-12
 
     def test_relabel_invariance_of_target_column(self):
@@ -96,38 +103,36 @@ class TestUncertaintyWrtClustering:
         relabeled = arr.copy()
         relabeled[:, 1] = perm[arr[:, 1]]
         view2 = build_ensemble_view(LabelMatrix.from_array(relabeled))
-        for rec, rec2 in zip(view.column_clusters(0), view2.column_clusters(0)):
-            assert uncertainty_wrt_clustering(rec, 1, view) == pytest.approx(
-                uncertainty_wrt_clustering(rec2, 1, view2), abs=1e-12
-            )
+        table, table2 = uncertainty_table(view), uncertainty_table(view2)
+        # column 0 is unchanged, so its clusters keep their ids
+        for c in range(len(column_members(view, 0))):
+            assert table[c, 1] == pytest.approx(table2[c, 1], abs=1e-12)
 
 
 class TestUncertaintyWrtEnsemble:
+    # the ensemble uncertainty of cluster c is annotate_validity(...).uncertainty[c]
+
     def test_worked_example_sum(self, worked_view):
-        big = worked_view.column_clusters(0)[0]
-        assert uncertainty_wrt_ensemble(big, worked_view) == pytest.approx(2.56, abs=0.01)
+        total = annotate_validity(worked_view, 0.5).uncertainty
+        assert total[0] == pytest.approx(2.56, abs=0.01)
 
     def test_stable_trio_zero(self, worked_view):
-        trio = worked_view.column_clusters(0)[1]
-        assert uncertainty_wrt_ensemble(trio, worked_view) == 0.0
+        assert annotate_validity(worked_view, 0.5).uncertainty[1] == 0.0
 
     def test_identical_columns_all_zero(self):
         col = np.array([0, 1, 2, 0, 1, 2, 0])
         view = build_ensemble_view(LabelMatrix.from_array(np.column_stack([col] * 4)))
-        for rec in view.clusters:
-            assert uncertainty_wrt_ensemble(rec, view) == 0.0
+        assert (annotate_validity(view, 0.5).uncertainty == 0.0).all()
 
     @given(label_arrays(max_n=8, max_m=3))
     @settings(max_examples=50)
     def test_additivity_term_by_term(self, arr):
         view = build_ensemble_view(LabelMatrix.from_array(arr))
-        for rec in view.clusters:
-            total = uncertainty_wrt_ensemble(rec, view)
-            explicit = sum(
-                uncertainty_wrt_clustering(rec, col, view)
-                for col in range(view.n_clusterings)
-            )
-            assert total == pytest.approx(explicit, abs=1e-12)
+        totals = annotate_validity(view, 0.5).uncertainty
+        table = uncertainty_table(view)
+        for c in range(view.n_clusters):
+            explicit = sum(table[c, col] for col in range(view.n_clusterings))
+            assert totals[c] == pytest.approx(explicit, abs=1e-12)
 
 
 class TestEci:
@@ -178,23 +183,15 @@ class TestAnnotateValidity:
         report = annotate_validity(worked_view, theta=0.5)
         assert report.uncertainty == pytest.approx(WORKED_UNCERTAINTY, abs=0.01)
 
-    def test_fills_cluster_records(self, worked_matrix):
-        view = build_ensemble_view(worked_matrix)
-        report = annotate_validity(view, theta=0.5)
-        for rec in view.clusters:
-            assert rec.uncertainty == report.uncertainty[rec.id]
-            assert rec.eci == report.eci[rec.id]
-
     def test_matches_per_cluster_ops(self):
         rng = np.random.default_rng(11)
         view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, 25, 4)))
         report = annotate_validity(view, theta=0.7)
-        for rec in view.clusters:
-            assert report.uncertainty[rec.id] == pytest.approx(
-                uncertainty_wrt_ensemble(rec, view), abs=1e-12
-            )
-            assert report.eci[rec.id] == pytest.approx(
-                eci(report.uncertainty[rec.id], 0.7, view.n_clusterings), abs=1e-12
+        table = uncertainty_table(view)
+        for c in range(view.n_clusters):
+            assert report.uncertainty[c] == pytest.approx(table[c].sum(), abs=1e-12)
+            assert report.eci[c] == pytest.approx(
+                eci(report.uncertainty[c], 0.7, view.n_clusterings), abs=1e-12
             )
 
     def test_single_clustering_all_ones(self):
@@ -215,13 +212,26 @@ class TestAnnotateValidity:
         r1 = annotate_validity(view1, 0.5)
         r2 = annotate_validity(view2, 0.5)
         by_members = {
-            (rec.source, frozenset(rec.members.tolist())): rec.id for rec in view2.clusters
+            (source, frozenset(members.tolist())): c
+            for c, (source, members) in enumerate(zip(cluster_sources(view2), view2.members()))
         }
-        for rec in view1.clusters:
-            moved = frozenset(int(inverse[o]) for o in rec.members)
-            twin = by_members[(rec.source, moved)]
-            assert r1.uncertainty[rec.id] == pytest.approx(r2.uncertainty[twin], abs=1e-12)
-            assert r1.eci[rec.id] == pytest.approx(r2.eci[twin], abs=1e-12)
+        for c, (source, members) in enumerate(zip(cluster_sources(view1), view1.members())):
+            moved = frozenset(int(inverse[o]) for o in members)
+            twin = by_members[(source, moved)]
+            assert r1.uncertainty[c] == pytest.approx(r2.uncertainty[twin], abs=1e-12)
+            assert r1.eci[c] == pytest.approx(r2.eci[twin], abs=1e-12)
+
+    def test_later_theta_leaves_earlier_report_alone(self, worked_view):
+        # the view holds no per-cluster state, so a theta sweep cannot leave
+        # the last theta's values behind in an earlier report or its export
+        early = annotate_validity(worked_view, theta=0.2)
+        text = io.StringIO()
+        write_validity_csv(early, worked_view, text)
+        annotate_validity(worked_view, theta=0.9)
+        again = io.StringIO()
+        write_validity_csv(early, worked_view, again)
+        assert again.getvalue() == text.getvalue()
+        assert np.array_equal(early.eci, annotate_validity(worked_view, theta=0.2).eci)
 
     @given(label_arrays(max_n=8, max_m=3))
     @settings(max_examples=50)
