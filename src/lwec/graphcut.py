@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,11 @@ class PartitionWarning(UserWarning):
 # spectral embedding alone (plus greedy refinement).
 INDUCED_SEARCH_LIMIT = 20_000
 
+# Consecutive nodes whose move gains _refine_partition evaluates in one numpy
+# pass; a larger block wastes more work past each move, a smaller one pays
+# more per-call overhead between moves.
+REFINE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -43,7 +49,8 @@ class BipartiteGraph:
 
     Object i has one edge per base clustering, to cluster cluster_ids[i, m];
     every edge into cluster c weighs weights[c], the cluster's ECI. A cluster
-    of weight 0 has no edges.
+    of weight 0 has no edges. The M clusters of a row are distinct, as in
+    every EnsembleView, where each column numbers its own clusters.
     """
 
     cluster_ids: np.ndarray
@@ -68,6 +75,15 @@ class BipartiteGraph:
         return b
 
 
+def _require_live_edges(cluster_ids: np.ndarray, weights: np.ndarray, advice: str = "") -> None:
+    """Raise ValueError naming the first object whose clusters all weigh 0."""
+    isolated = np.flatnonzero(~(weights > 0)[cluster_ids].any(axis=1))
+    if isolated.size:
+        raise ValueError(
+            f"{isolated.size} objects (first {isolated[0]}) have only zero-weight clusters{advice}"
+        )
+
+
 def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
     """Build the reliability-weighted bipartite graph of an annotated ensemble.
 
@@ -77,13 +93,32 @@ def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
         raise ValueError(
             f"report covers {len(report.eci)} clusters, view has {view.n_clusters}"
         )
-    isolated = np.flatnonzero(~(report.eci > 0)[view.cluster_ids].any(axis=1))
-    if isolated.size:
-        raise ValueError(
-            f"at theta={report.theta:g}, {isolated.size} objects (first {isolated[0]}) "
-            "have only zero-weight clusters; use a larger theta"
-        )
+    _require_live_edges(
+        view.cluster_ids, report.eci, f" at theta={report.theta:g}; use a larger theta"
+    )
     return BipartiteGraph(cluster_ids=view.cluster_ids, weights=report.eci)
+
+
+class _Edges(NamedTuple):
+    """A graph's N x M edges with its zero-weight clusters removed.
+
+    columns[i, m] is the id, among positive-weight clusters, of object i's
+    m-th cluster, and weights[i, m] is that edge's weight divided by the
+    largest edge weight (the normalized cut is scale-invariant). An edge into
+    a zero-weight cluster has column 0 and weight 0.
+    """
+
+    columns: np.ndarray
+    weights: np.ndarray
+    n_clusters: int
+
+
+def _edges(graph: BipartiteGraph) -> _Edges:
+    keep = graph.weights > 0
+    live = keep[graph.cluster_ids]
+    columns = np.where(live, (np.cumsum(keep) - 1)[graph.cluster_ids], 0)
+    weights = np.where(live, graph.weights[graph.cluster_ids], 0.0)
+    return _Edges(columns, weights / weights.max(), int(keep.sum()))
 
 
 def _connected_components(graph: BipartiteGraph) -> np.ndarray:
@@ -124,11 +159,10 @@ def _best_induced_partition(b: np.ndarray, k: int) -> np.ndarray | None:
     """Exact search over all k ** n_c cluster-side assignments (small graphs only).
 
     Each assignment pulls every object into the segment holding the largest
-    share of its edge weight; the best full-graph normalized cut wins.
+    share of its edge weight; the best full-graph normalized cut wins (None
+    if every cut has a segment of zero volume).
     """
     nc = b.shape[1]
-    if k**nc > INDUCED_SEARCH_LIMIT:
-        return None
     best_value = np.inf
     best_labels = None
     digits = k ** np.arange(nc)
@@ -144,35 +178,104 @@ def _best_induced_partition(b: np.ndarray, k: int) -> np.ndarray | None:
     return best_labels
 
 
+def _cluster_graph(edges: _Edges, share: np.ndarray) -> np.ndarray:
+    """W_c = B^T D_o^-1 B from the edges, where share = D_o^-1 B per edge.
+
+    Filled one ensemble column at a time: column a's live edges reach the
+    rows between their least and greatest cluster id, and one bincount over
+    (row, cluster) keys of all N x M edges fills those rows. Memory stays
+    O(N M + n_c^2); no N x M^2 pair list and no N x n_c matrix is built.
+    """
+    columns, weights, nc = edges
+    w_c = np.zeros((nc, nc))
+    for a in range(columns.shape[1]):
+        live = weights[:, a] > 0
+        if not live.any():
+            continue
+        lo, hi = int(columns[live, a].min()), int(columns[live, a].max()) + 1
+        # a dead edge keys row lo and adds 0.0
+        keys = (np.where(live, columns[:, a] - lo, 0) * nc)[:, None] + columns
+        block = np.bincount(
+            keys.ravel(), weights=(weights[:, a, None] * share).ravel(), minlength=(hi - lo) * nc
+        )
+        w_c[lo:hi] += block.reshape(hi - lo, nc)
+    return w_c
+
+
+def _transfer(edges: _Edges, share: np.ndarray, f_cluster: np.ndarray) -> np.ndarray:
+    """Object rows of D_o^-1 B f_cluster, an M-term sum per object."""
+    f_obj = np.zeros((edges.columns.shape[0], f_cluster.shape[1]))
+    for m in range(share.shape[1]):
+        f_obj += share[:, m, None] * f_cluster[edges.columns[:, m]]
+    return f_obj
+
+
+def _embedding(edges: _Edges, k: int) -> np.ndarray:
+    """Row-normalized object embedding: the k leading eigenvectors of the
+    normalized W_c, transferred to the objects through D_o^-1 B."""
+    share = edges.weights / edges.weights.sum(axis=1)[:, None]  # D_o^-1 B, one entry per edge
+    w_c = _cluster_graph(edges, share)
+    inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
+    w_c *= inv_sqrt[:, None]
+    w_c *= inv_sqrt[None, :]
+    sym = w_c + w_c.T
+    del w_c
+    sym /= 2
+    _, vecs = np.linalg.eigh(sym)
+    f_obj = _transfer(edges, share, vecs[:, -k:])
+    norms = np.linalg.norm(f_obj, axis=1)
+    norms[norms == 0] = 1.0
+    return f_obj / norms[:, None]
+
+
 def _refine_partition(
-    b: np.ndarray, labels: np.ndarray, k: int, max_passes: int = 100
+    edges: _Edges, labels: np.ndarray, k: int, max_passes: int = 100
 ) -> tuple[np.ndarray, float]:
     """Greedy single-node moves descending the normalized cut of the full graph.
 
     Both node sides move; cluster nodes start at the segment holding most of
-    their edge weight. Deterministic: nodes are scanned in index order and a
-    move is taken only on strict improvement. Returns the object labels and
-    the final full-graph cut value.
+    their edge weight (the lowest such segment on a tie). Deterministic: nodes
+    are scanned in index order (objects, then clusters) and a node moves to the first segment that
+    lowers the cut by more than 1e-12 over the best found so far, unless it
+    is the last node of its segment. Returns the object labels and the final
+    full-graph cut value.
+
+    Exact block scan: the gains of REFINE_BLOCK consecutive nodes are
+    evaluated in one numpy pass against the current state, with the same
+    floating-point operations as a node-by-node loop. Only the first node
+    that improves moves, and the scan resumes right after it, so every node
+    is judged on the state a node-by-node loop would show it, and the moves,
+    labels and cut value are that loop's. The state is each node's link
+    weight into each segment, (N + n_c) x k; an object move updates the
+    links of its M clusters, a cluster move those of its members (read from
+    a CSR of the live edges, built once). A pass costs O((N + n_c) k) array
+    work plus one block evaluation per move.
     """
-    n, nc = b.shape
+    columns, weights, nc = edges
+    n, m = columns.shape
     nodes = n + nc
-    deg = np.concatenate([b.sum(axis=1), b.sum(axis=0)])
+    live = weights > 0
+    cluster_weight = np.zeros(nc)
+    cluster_weight[columns[live]] = weights[live]
+    member_of = columns[live]
+    objects = np.broadcast_to(np.arange(n)[:, None], (n, m))[live]
+    members = objects[np.argsort(member_of, kind="stable")]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(member_of, minlength=nc))])
+
+    deg = np.concatenate(
+        [weights.sum(axis=1), np.bincount(columns.ravel(), weights=weights.ravel(), minlength=nc)]
+    )
     full = np.empty(nodes, dtype=np.int64)
     full[:n] = labels
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    full[n:] = (b.T @ onehot).argmax(axis=1)
     # links[v, s] = total edge weight from node v into segment s
-    links = np.zeros((nodes, k))
-    for s in range(k):
-        obj_in = full[:n] == s
-        cl_in = full[n:] == s
-        links[:n, s] = b[:, cl_in].sum(axis=1)
-        links[n:, s] = b[obj_in, :].sum(axis=0)
-    vol = np.zeros(k)
-    np.add.at(vol, full, deg)
-    assoc = np.zeros(k)
-    np.add.at(assoc, full, links[np.arange(nodes), full])
+    links = np.empty((nodes, k))
+    cells = (columns * k + labels[:, None]).ravel()
+    links[n:] = np.bincount(cells, weights=weights.ravel(), minlength=nc * k).reshape(nc, k)
+    full[n:] = links[n:].argmax(axis=1)
+    cells = (np.arange(n)[:, None] * k + full[n + columns]).ravel()
+    links[:n] = np.bincount(cells, weights=weights.ravel(), minlength=n * k).reshape(n, k)
+    vol = np.bincount(full, weights=deg, minlength=k)
+    assoc = np.bincount(full, weights=links[np.arange(nodes), full], minlength=k)
     counts = np.bincount(full, minlength=k)
 
     def term(volume, a):
@@ -181,41 +284,44 @@ def _refine_partition(
     current = float(term(vol, assoc).sum())
     for _ in range(max_passes):
         improved = False
-        for v in range(nodes):
-            s0 = int(full[v])
-            if counts[s0] == 1:
+        v = 0
+        while v < nodes:
+            block = slice(v, min(v + REFINE_BLOCK, nodes))
+            s0, d, link = full[block], deg[block], links[block]
+            rows = np.arange(s0.size)
+            best_s, best_val = s0.copy(), np.full(s0.size, current)
+            # nodes that may not move can divide 0 by 0; their values are discarded
+            with np.errstate(divide="ignore", invalid="ignore"):
+                stay = term(vol, assoc)
+                base = current - stay[s0]
+                leave = term(vol[s0] - d, assoc[s0] - 2.0 * link[rows, s0])
+                for s1 in range(k):
+                    candidate = base - stay[s1] + leave + term(vol[s1] + d, assoc[s1] + 2.0 * link[:, s1])
+                    better = (s1 != s0) & (candidate < best_val - 1e-12)
+                    best_s[better] = s1
+                    best_val[better] = candidate[better]
+            movers = np.flatnonzero((best_s != s0) & (counts[s0] > 1))
+            if not movers.size:
+                v = block.stop
                 continue
-            vol0 = vol[s0] - deg[v]
-            assoc0 = assoc[s0] - 2.0 * links[v, s0]
-            base = current - term(vol[s0], assoc[s0])
-            best_s, best_val = s0, current
-            for s1 in range(k):
-                if s1 == s0:
-                    continue
-                candidate = (
-                    base
-                    - term(vol[s1], assoc[s1])
-                    + term(vol0, assoc0)
-                    + term(vol[s1] + deg[v], assoc[s1] + 2.0 * links[v, s1])
-                )
-                if candidate < best_val - 1e-12:
-                    best_s, best_val = s1, candidate
-            if best_s != s0:
-                vol[s0] -= deg[v]
-                vol[best_s] += deg[v]
-                assoc[s0] -= 2.0 * links[v, s0]
-                assoc[best_s] += 2.0 * links[v, best_s]
-                counts[s0] -= 1
-                counts[best_s] += 1
-                if v < n:
-                    links[n:, s0] -= b[v, :]
-                    links[n:, best_s] += b[v, :]
-                else:
-                    links[:n, s0] -= b[:, v - n]
-                    links[:n, best_s] += b[:, v - n]
-                full[v] = best_s
-                current = best_val
-                improved = True
+            j = movers[0]
+            u, s_from, s_to = v + j, int(s0[j]), int(best_s[j])
+            vol[s_from] -= deg[u]
+            vol[s_to] += deg[u]
+            assoc[s_from] -= 2.0 * links[u, s_from]
+            assoc[s_to] += 2.0 * links[u, s_to]
+            counts[s_from] -= 1
+            counts[s_to] += 1
+            if u < n:
+                touched, moved = n + columns[u, live[u]], weights[u, live[u]]
+            else:
+                touched, moved = members[starts[u - n]:starts[u - n + 1]], cluster_weight[u - n]
+            links[touched, s_from] -= moved
+            links[touched, s_to] += moved
+            full[u] = s_to
+            current = float(best_val[j])
+            improved = True
+            v = u + 1
         if not improved:
             break
     return full[:n], current
@@ -234,15 +340,24 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     every cluster-side segment assignment exactly and keep whichever start
     refines to the lower cut. Deterministic for a fixed seed.
 
+    Every step reads the N x M edges of `graph.cluster_ids` (see `_Edges`):
+    object degrees and the embedding are M-term sums per object, W_c is
+    filled by `_cluster_graph`, and the refinement is the block scan of
+    `_refine_partition`. The spectral path therefore needs O(N M + n_c^2)
+    memory and never builds the dense N x n_c affinity; only the exhaustive
+    search on small graphs does.
+
     If the graph splits into more than k connected components, components are
     assigned greedily to k labels instead (largest k-1 kept apart, remainder
-    pooled) and a PartitionWarning is issued.
+    pooled) and a PartitionWarning is issued. Raises ValueError if k is
+    infeasible or some object has only zero-weight clusters.
     """
     n, nc = graph.n_objects, int((graph.weights > 0).sum())
     if not 2 <= k <= min(n, nc):
         raise ValueError(
             f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}"
         )
+    _require_live_edges(graph.cluster_ids, graph.weights)
     components = _connected_components(graph)
     n_components = int(components.max()) + 1
     if n_components > k:
@@ -259,27 +374,16 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
         labels = relabel_first_appearance(mapping[components])
         return ConsensusResult(labels=labels, k=k, method="tcut")
 
-    b = graph.affinity()
-    b = b / b.max()
-    deg_obj = b.sum(axis=1)
-    w_c = b.T @ (b / deg_obj[:, None])
-    deg_c = w_c.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg_c)
-    sym = inv_sqrt[:, None] * w_c * inv_sqrt[None, :]
-    sym = (sym + sym.T) / 2
-    _, vecs = np.linalg.eigh(sym)
-    f_cluster = vecs[:, -k:]
-    f_obj = (b / deg_obj[:, None]) @ f_cluster
-    norms = np.linalg.norm(f_obj, axis=1)
-    norms[norms == 0] = 1.0
-    embedding = f_obj / norms[:, None]
-    raw = kmeans(embedding, k, seed=seed)
-    refined, value = _refine_partition(b, raw, k)
-    induced = _best_induced_partition(b, k)
-    if induced is not None:
-        alt, alt_value = _refine_partition(b, induced, k)
-        if alt_value < value - 1e-12:
-            refined = alt
+    edges = _edges(graph)
+    raw = kmeans(_embedding(edges, k), k, seed=seed)
+    refined, value = _refine_partition(edges, raw, k)
+    if k**nc <= INDUCED_SEARCH_LIMIT:
+        b = graph.affinity()
+        induced = _best_induced_partition(b / b.max(), k)
+        if induced is not None:
+            alt, alt_value = _refine_partition(edges, induced, k)
+            if alt_value < value - 1e-12:
+                refined = alt
     labels = relabel_first_appearance(refined)
     n_groups = int(labels.max()) + 1
     if n_groups < k:

@@ -33,24 +33,22 @@ def uncertainty_table(view: EnsembleView) -> np.ndarray:
     """n_c x M table: entry (c, m) is the entropy in bits of cluster c's members
     over column m's clusters; a cluster's own column holds 0.
 
-    Intersection counts come from per-column-pair contingency tables built in
-    one pass over the objects, so the whole table is O(N * M^2).
+    For each target column m, one bincount over `cluster_ids * k_m + labels[:, m]`
+    counts every cluster's members per column-m cluster at once, so the whole
+    table is M bincounts over N x M keys, O(N * M^2) work.
     """
     labels = view.labels.labels
     counts = view.labels.clusters_per_column
     offsets = view.column_offsets
-    m = view.n_clusterings
-    table = np.zeros((view.n_clusters, m))
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            joint = labels[:, a] * counts[b] + labels[:, b]
-            pairs = np.bincount(joint, minlength=counts[a] * counts[b]).reshape(counts[a], -1)
-            p = pairs / pairs.sum(axis=1, keepdims=True)
-            safe_p = np.where(pairs > 0, p, 1.0)
-            ent = -(p * np.log2(safe_p)).sum(axis=1)
-            table[offsets[a]:offsets[a + 1], b] = np.maximum(ent, 0.0)
+    table = np.zeros((view.n_clusters, view.n_clusterings))
+    for b, k_b in enumerate(counts):
+        keys = view.cluster_ids * k_b + labels[:, b, None]
+        pairs = np.bincount(keys.ravel(), minlength=view.n_clusters * k_b).reshape(-1, k_b)
+        p = pairs / pairs.sum(axis=1, keepdims=True)
+        safe_p = np.where(pairs > 0, p, 1.0)
+        ent = -(p * np.log2(safe_p)).sum(axis=1)
+        table[:, b] = np.maximum(ent, 0.0)
+        table[offsets[b]:offsets[b + 1], b] = 0.0
     return table
 
 

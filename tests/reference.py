@@ -60,6 +60,27 @@ def all_uncertainties_ref(labels: np.ndarray) -> np.ndarray:
     )
 
 
+def uncertainty_table_pairwise_ref(view) -> np.ndarray:
+    """The per-column-pair loop lwec used before one bincount per target column:
+    one contingency table per ordered column pair, M(M-1) of them."""
+    labels = view.labels.labels
+    counts = view.labels.clusters_per_column
+    offsets = view.column_offsets
+    m = view.n_clusterings
+    table = np.zeros((view.n_clusters, m))
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            joint = labels[:, a] * counts[b] + labels[:, b]
+            pairs = np.bincount(joint, minlength=counts[a] * counts[b]).reshape(counts[a], -1)
+            p = pairs / pairs.sum(axis=1, keepdims=True)
+            safe_p = np.where(pairs > 0, p, 1.0)
+            ent = -(p * np.log2(safe_p)).sum(axis=1)
+            table[offsets[a]:offsets[a + 1], b] = np.maximum(ent, 0.0)
+    return table
+
+
 def eci_decimal(uncertainty: float, theta: float, ensemble_size: int, digits: int = 50) -> float:
     """Arbitrary-precision evaluation of exp(-u / (theta * M))."""
     getcontext().prec = digits
@@ -309,3 +330,82 @@ def induced_partition_optimum(affinity: np.ndarray, k: int) -> float:
         obj_labels = pull.argmax(axis=1)
         best = min(best, ncut_value(b, obj_labels, np.asarray(assignment), k))
     return best
+
+
+def refine_partition_loop_ref(
+    b: np.ndarray, labels: np.ndarray, k: int, max_passes: int = 100
+) -> tuple[np.ndarray, float]:
+    """Greedy single-node moves descending the normalized cut of the full graph,
+    one node at a time over a dense N x n_c affinity (lwec's loop before the
+    block scan).
+
+    Both node sides move; cluster nodes start at the segment holding most of
+    their edge weight. Deterministic: nodes are scanned in index order and a
+    move is taken only on strict improvement. Returns the object labels and
+    the final full-graph cut value.
+    """
+    n, nc = b.shape
+    nodes = n + nc
+    deg = np.concatenate([b.sum(axis=1), b.sum(axis=0)])
+    full = np.empty(nodes, dtype=np.int64)
+    full[:n] = labels
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    full[n:] = (b.T @ onehot).argmax(axis=1)
+    # links[v, s] = total edge weight from node v into segment s
+    links = np.zeros((nodes, k))
+    for s in range(k):
+        obj_in = full[:n] == s
+        cl_in = full[n:] == s
+        links[:n, s] = b[:, cl_in].sum(axis=1)
+        links[n:, s] = b[obj_in, :].sum(axis=0)
+    vol = np.zeros(k)
+    np.add.at(vol, full, deg)
+    assoc = np.zeros(k)
+    np.add.at(assoc, full, links[np.arange(nodes), full])
+    counts = np.bincount(full, minlength=k)
+
+    def term(volume, a):
+        return (volume - a) / volume
+
+    current = float(term(vol, assoc).sum())
+    for _ in range(max_passes):
+        improved = False
+        for v in range(nodes):
+            s0 = int(full[v])
+            if counts[s0] == 1:
+                continue
+            vol0 = vol[s0] - deg[v]
+            assoc0 = assoc[s0] - 2.0 * links[v, s0]
+            base = current - term(vol[s0], assoc[s0])
+            best_s, best_val = s0, current
+            for s1 in range(k):
+                if s1 == s0:
+                    continue
+                candidate = (
+                    base
+                    - term(vol[s1], assoc[s1])
+                    + term(vol0, assoc0)
+                    + term(vol[s1] + deg[v], assoc[s1] + 2.0 * links[v, s1])
+                )
+                if candidate < best_val - 1e-12:
+                    best_s, best_val = s1, candidate
+            if best_s != s0:
+                vol[s0] -= deg[v]
+                vol[best_s] += deg[v]
+                assoc[s0] -= 2.0 * links[v, s0]
+                assoc[best_s] += 2.0 * links[v, best_s]
+                counts[s0] -= 1
+                counts[best_s] += 1
+                if v < n:
+                    links[n:, s0] -= b[v, :]
+                    links[n:, best_s] += b[v, :]
+                else:
+                    links[:n, s0] -= b[:, v - n]
+                    links[:n, best_s] += b[:, v - n]
+                full[v] = best_s
+                current = best_val
+                improved = True
+        if not improved:
+            break
+    return full[:n], current

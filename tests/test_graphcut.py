@@ -1,5 +1,6 @@
 """Bipartite graph construction and the transfer-cut partitioner."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from lwec import (
     make_gaussian_blobs,
     tcut_partition,
 )
+from lwec import graphcut
 from lwec.graphcut import _connected_components
 
 import reference as ref
@@ -264,3 +266,206 @@ class TestZeroWeights:
             lwea(view, 3, theta=1e-300)
         with pytest.raises(ValueError, match="theta=1e-300"):
             lwgp(view, 3, theta=1e-300, seed=0)
+
+
+def exact_label_array(rng, n, clusters_per_column):
+    """n x M labels whose column m has exactly clusters_per_column[m] non-empty clusters."""
+    return np.column_stack(
+        [rng.permutation(np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)]))
+         for c in clusters_per_column]
+    )
+
+
+def weighted_graph(rng, nodes, clusters_per_column, choices=None):
+    """A graph with N + (positive-weight clusters) == nodes over random labels.
+
+    Cluster weights are drawn from `choices`, or uniformly from [0.05, 1) if
+    None; only the first column's clusters may weigh 0, so every object keeps
+    an edge.
+    """
+    n_c, first = sum(clusters_per_column), clusters_per_column[0]
+    weights = rng.uniform(0.05, 1.0, n_c) if choices is None else rng.choice(choices, n_c)
+    weights[first:] = np.where(weights[first:] > 0, weights[first:], 1.0)
+    arr = exact_label_array(rng, nodes - int((weights > 0).sum()), clusters_per_column)
+    view = build_ensemble_view(LabelMatrix.from_array(arr))
+    return BipartiteGraph(view.cluster_ids, weights)
+
+
+def scaled_affinity(graph):
+    b = graph.affinity()
+    return b / b.max()
+
+
+class TestRefineBlockScan:
+    """The block scan must make exactly the moves of the node-by-node loop."""
+
+    COLUMNS = (4, 3, 5)  # clusters per column; the first column's may weigh 0
+
+    def node_counts(self):
+        block = graphcut.REFINE_BLOCK
+        return (block - 1, block, block + 1, 2 * block + 1)
+
+    def check(self, graph, labels, k, max_passes, exact):
+        edges = graphcut._edges(graph)
+        got_labels, got_value = graphcut._refine_partition(edges, labels, k, max_passes)
+        b = scaled_affinity(graph)
+        want_labels, want_value = ref.refine_partition_loop_ref(b, labels, k, max_passes)
+        assert np.array_equal(got_labels, want_labels)
+        if exact:
+            assert got_value == want_value
+        else:
+            assert got_value == pytest.approx(want_value, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("max_passes", [1, 2, 100])
+    def test_dyadic_weights_exact(self, max_passes):
+        # sums of 0.25 / 0.5 / 1 are exact in any order, so ties stay ties and
+        # the cut value must come out bit for bit
+        rng = np.random.default_rng(71 + max_passes)
+        for nodes in self.node_counts():
+            for k in (2, 3, 4):
+                graph = weighted_graph(rng, nodes, self.COLUMNS, [0.0, 0.25, 0.5, 1.0])
+                labels = rng.integers(0, k, size=graph.n_objects)
+                self.check(graph, labels, k, max_passes, exact=True)
+
+    @pytest.mark.parametrize("max_passes", [1, 2, 100])
+    def test_real_weights_within_1e12(self, max_passes):
+        rng = np.random.default_rng(83 + max_passes)
+        for nodes in self.node_counts():
+            for k in (2, 3, 5):
+                graph = weighted_graph(rng, nodes, self.COLUMNS)
+                while True:
+                    # the loop starts each cluster from a BLAS product that
+                    # may round two equal sums apart, so no cluster may split
+                    # evenly between its two largest segments
+                    labels = rng.integers(0, k, size=graph.n_objects)
+                    counts = np.zeros((graph.n_clusters, k))
+                    np.add.at(counts, (graph.cluster_ids, labels[:, None]), 1)
+                    top = np.sort(counts, axis=1)
+                    if (top[:, -1] > top[:, -2]).all():
+                        break
+                self.check(graph, labels, k, max_passes, exact=False)
+
+    def test_duplicate_rows_unit_weights_exact(self):
+        # duplicate rows and unit weights tie almost every gain
+        rng = np.random.default_rng(97)
+        for trial in range(20):
+            rows = exact_label_array(rng, 30, (3, 3, 2, 4))
+            arr = rows[rng.integers(0, 30, size=graphcut.REFINE_BLOCK + 20)]
+            view = build_ensemble_view(LabelMatrix.from_array(arr))
+            graph = BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
+            k = int(rng.integers(2, 5))
+            labels = arr[:, trial % 4] % k
+            labels[:k] = np.arange(k)  # every segment starts non-empty, as after k-means
+            self.check(graph, labels, k, 100, exact=True)
+
+
+class TestSparseSpectral:
+    """W_c, degrees and the transferred embedding equal the dense formulas."""
+
+    def graphs(self):
+        rng = np.random.default_rng(101)
+        for trial in range(12):
+            arr = random_label_array(rng, 60, 5, max_clusters=7)
+            view = build_ensemble_view(LabelMatrix.from_array(arr))
+            weights = rng.uniform(0.05, 1.0, view.n_clusters)
+            weights[rng.random(view.n_clusters) < 0.2] = 0.0
+            spared = 0
+            if trial % 3 == 0:  # one ensemble column whose clusters all weigh 0
+                column = int(rng.integers(view.n_clusterings))
+                weights[view.column_offsets[column]:view.column_offsets[column + 1]] = 0.0
+                spared = (column + 1) % view.n_clusterings
+            isolated = ~(weights > 0)[view.cluster_ids].any(axis=1)
+            weights[view.cluster_ids[isolated, spared]] = 0.5
+            yield BipartiteGraph(view.cluster_ids, weights)
+
+    def test_matches_dense_formulas(self):
+        rng = np.random.default_rng(103)
+        dead_columns = 0
+        for graph in self.graphs():
+            dead_columns += (~(graph.weights[graph.cluster_ids] > 0).any(axis=0)).sum()
+            b = scaled_affinity(graph)
+            edges = graphcut._edges(graph)
+            assert edges.n_clusters == b.shape[1]
+            deg_obj = edges.weights.sum(axis=1)
+            assert np.allclose(deg_obj, b.sum(axis=1), rtol=1e-12, atol=0)
+            share = edges.weights / deg_obj[:, None]
+            w_c = graphcut._cluster_graph(edges, share)
+            dense_share = b / b.sum(axis=1)[:, None]
+            dense_w_c = b.T @ dense_share
+            assert np.allclose(w_c, dense_w_c, rtol=1e-12, atol=0)
+            assert np.allclose(w_c.sum(axis=1), dense_w_c.sum(axis=1), rtol=1e-12, atol=0)
+            f_cluster = rng.standard_normal((b.shape[1], 3))
+            f_obj = graphcut._transfer(edges, share, f_cluster)
+            assert np.allclose(f_obj, dense_share @ f_cluster, rtol=1e-12, atol=1e-15)
+        assert dead_columns > 0
+
+
+# lwgp labels of blob_view_m20 (seed 0) by (theta, k), recorded with the
+# dense-affinity transfer cut; k = 5 at theta = 1.0 differs in object 97
+GOLDEN_K2 = (
+    "0111110101100101111001110110110111101100101111100101101011101111101111111011110001011110100001"
+    "1010110111001111101110110111011001010101101110010011111111001110111111111010010011111101110110"
+    "111101001101"
+)
+GOLDEN_K3 = (
+    "0122210101100102221002210210110112202100102222100101201022201221201211212022110002022220200001"
+    "2010210121001111201110210221012001020102101120020022111222001120122211221010020012211102110220"
+    "122102001102"
+)
+GOLDEN_K5 = (
+    "0122310101104102321002214314114112342104143322100101301423301331341211313032110442022220244001"
+    "2010210121401111301110210331413401034102141124034033111322001120132311231410020013311142110220"
+    "122103001103"
+)
+GOLDEN_K5_THETA_1 = (
+    "0122310101104102321002214314114112342104143322100101301423301331341211313032110442022220244001"
+    "2014210121401111301110210331413401034102141124034033111322001120132311231410020013311142110220"
+    "122103001103"
+)
+GOLDEN = {
+    **{(theta, 2): GOLDEN_K2 for theta in (0.2, 0.4, 1.0)},
+    **{(theta, 3): GOLDEN_K3 for theta in (0.2, 0.4, 1.0)},
+    (0.2, 5): GOLDEN_K5,
+    (0.4, 5): GOLDEN_K5,
+    (1.0, 5): GOLDEN_K5_THETA_1,
+}
+
+
+@pytest.mark.parametrize("theta, k", sorted(GOLDEN))
+def test_golden_lwgp_labels(blob_view_m20, theta, k):
+    labels = lwgp(blob_view_m20, k, theta=theta, seed=0).labels
+    assert "".join(map(str, labels)) == GOLDEN[theta, k]
+
+
+def test_isolated_object_rejected_by_tcut():
+    # object 2 has only clusters 2 and 6, both of weight 0
+    ids = np.array([[0, 4], [1, 5], [2, 6], [3, 7], [0, 5], [1, 4], [3, 7], [0, 4]])
+    weights = np.ones(8)
+    weights[[2, 6]] = 0.0
+    graph = BipartiteGraph(ids, weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"1 objects \(first 2\) have only zero-weight"):
+            tcut_partition(graph, 3, seed=0)
+
+
+def test_spectral_path_builds_no_dense_affinity():
+    # N = 10,000 blob points and M = 10 Voronoi columns of 2..100 clusters, as
+    # in the lwgp-large benchmark: the dense N x n_c affinity alone is ~39 MiB
+    rng = np.random.default_rng(107)
+    centers = [[0.0, 0.0], [9.0, 9.0], [18.0, 0.0]]
+    x, _ = make_gaussian_blobs(10_000, centers, spread=3.0, seed=7)
+    columns = []
+    for k in np.rint(np.linspace(2, 100, 10)).astype(int):
+        sites = x[rng.choice(len(x), size=k, replace=False)]
+        columns.append(((x[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2).argmin(axis=1))
+    view = build_ensemble_view(LabelMatrix.from_array(np.column_stack(columns)))
+    graph = graph_from(view, theta=0.4)
+    assert _connected_components(graph).max() == 0  # the spectral path runs
+    tracemalloc.start()
+    try:
+        tcut_partition(graph, 3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < graph.n_objects * graph.n_clusters * 8 / 4

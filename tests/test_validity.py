@@ -109,6 +109,31 @@ class TestUncertaintyWrtClustering:
             assert table[c, 1] == pytest.approx(table2[c, 1], abs=1e-12)
 
 
+class TestUncertaintyTableBits:
+    """One bincount per target column gives the pairwise loop's table bit for bit."""
+
+    @given(label_arrays(max_n=30, max_m=6, max_clusters=6))
+    @settings(max_examples=120)
+    def test_equals_pairwise_loop(self, arr):
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        assert np.array_equal(uncertainty_table(view), ref.uncertainty_table_pairwise_ref(view))
+
+    def test_equals_pairwise_loop_wide_noisy(self):
+        # N = 1000, M = 60 columns of 2..32 clusters, 10% of labels redrawn
+        rng = np.random.default_rng(113)
+        truth = rng.integers(0, 3, size=1000)
+        columns = []
+        for k in np.rint(np.linspace(2, 32, 60)).astype(int):
+            col = (truth + 3 * rng.integers(0, 4, size=1000)) % k
+            noisy = rng.random(1000) < 0.1
+            col[noisy] = rng.integers(0, k, size=noisy.sum())
+            columns.append(col)
+        arr = np.column_stack(columns)
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        assert view.n_clusterings == 60
+        assert np.array_equal(uncertainty_table(view), ref.uncertainty_table_pairwise_ref(view))
+
+
 class TestUncertaintyWrtEnsemble:
     # the ensemble uncertainty of cluster c is annotate_validity(...).uncertainty[c]
 
