@@ -4,6 +4,11 @@ Entry (i, j) of the plain matrix is the fraction of base clusterings that put
 objects i and j in the same cluster. The locally weighted variant scales each
 co-occurrence by the reliability weight of the shared cluster, so evidence
 from unstable clusters counts for less.
+
+Objects whose label rows agree on every positive-weight cluster have equal
+rows in both matrices, so the matrix is stored once per such microcluster
+(Huang et al., *Robust Ensemble Clustering Using Probability Trajectories*,
+TKDE 2016) with an object-to-row map: O(p^2 + N) memory for p microclusters.
 """
 
 from __future__ import annotations
@@ -21,27 +26,54 @@ __all__ = ["CoassocMatrix", "build_ca", "build_lwca", "write_lower_triangle"]
 
 @dataclass(frozen=True)
 class CoassocMatrix:
-    """Symmetric N x N similarity with entries in [0, 1]."""
+    """Symmetric N x N similarity with entries in [0, 1], stored by microcluster.
+
+    Object i's row of the N x N matrix is row `leaf[i]` of `values`, read at
+    the columns `leaf`; `leaf=None` means one row per object. Rows are
+    numbered by their smallest object, and objects sharing a row have equal
+    N x N rows whose mutual entries are that row's diagonal.
+    """
 
     values: np.ndarray
     kind: str  # "ca" | "lwca"
+    leaf: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[0] if self.leaf is None else self.leaf.size
+
+    def dense(self) -> np.ndarray:
+        """The full N x N matrix (allocates it)."""
+        if self.leaf is None:
+            return self.values
+        return self.values[np.ix_(self.leaf, self.leaf)]
 
 
-def _accumulate(view: EnsembleView, weights: np.ndarray) -> np.ndarray:
-    """Add each cluster's weight to every pair of its members, then divide by M:
-    O(sum |C|^2) work instead of O(N^2 M). Clusters go in id order, which fixes
-    the rounding of every weighted sum."""
-    n = view.n_objects
-    values = np.zeros((n, n))
+def _accumulate(view: EnsembleView, weights: np.ndarray, kind: str) -> CoassocMatrix:
+    """Add each cluster's weight to every pair of its members, then divide by M,
+    over one representative object per microcluster: O(sum |C|^2) work on the
+    representatives. Clusters go in id order, so every entry is the same sum,
+    added in the same order, as the N x N entry of its representatives."""
+    # number the distinct rows of positive-weight cluster ids one column at a time
+    key = np.zeros(view.n_objects, dtype=np.int64)
+    for column in np.where(weights[view.cluster_ids] > 0, view.cluster_ids, -1).T:
+        _, key = np.unique(key * (view.n_clusters + 1) + column + 1, return_inverse=True)
+    # then renumber them by smallest member, the row's representative
+    first = np.unique(key, return_index=True)[1]
+    p = first.size
+    rank = np.empty(p, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(p)
+    leaf = rank[key]
+    is_rep = np.zeros(view.n_objects, dtype=bool)
+    is_rep[first] = True
+    values = np.zeros((p, p))
     for members, weight in zip(view.members(), weights):
-        values[np.ix_(members, members)] += weight
+        rows = leaf[members[is_rep[members]]]
+        values[rows[:, None], rows] += weight
     values /= view.n_clusterings
     values.flags.writeable = False
-    return values
+    leaf.flags.writeable = False
+    return CoassocMatrix(values=values, kind=kind, leaf=leaf)
 
 
 def build_ca(view: EnsembleView) -> CoassocMatrix:
@@ -50,7 +82,7 @@ def build_ca(view: EnsembleView) -> CoassocMatrix:
     Every cluster weighs 1, so the sums are exact small integers and only the
     final division rounds.
     """
-    return CoassocMatrix(values=_accumulate(view, np.ones(view.n_clusters)), kind="ca")
+    return _accumulate(view, np.ones(view.n_clusters), "ca")
 
 
 def build_lwca(view: EnsembleView, report: ValidityReport) -> CoassocMatrix:
@@ -69,13 +101,15 @@ def build_lwca(view: EnsembleView, report: ValidityReport) -> CoassocMatrix:
         raise ValueError(
             f"every cluster weight underflows to 0 at theta={report.theta:g}; use a larger theta"
         )
-    return CoassocMatrix(values=_accumulate(view, report.eci), kind="lwca")
+    return _accumulate(view, report.eci, "lwca")
 
 
 def write_lower_triangle(matrix: CoassocMatrix, out: str | IO[str]) -> None:
-    """Dump the lower triangle (diagonal included) as plain-text CSV rows."""
+    """Dump the N x N lower triangle (diagonal included) as plain-text CSV rows,
+    one row at a time from the stored rows."""
+    leaf = np.arange(matrix.n) if matrix.leaf is None else matrix.leaf
     lines = [
-        ",".join(f"{v:.10g}" for v in matrix.values[i, : i + 1])
+        ",".join(f"{v:.10g}" for v in matrix.values[leaf[i], leaf[: i + 1]])
         for i in range(matrix.n)
     ]
     _write_text("\n".join(lines) + "\n", out)

@@ -194,33 +194,38 @@ def parse_label_matrix(source: str | IO[str] | Iterable[str]) -> LabelMatrix:
     non-integer or negative cells, or empty input. A column with a single
     distinct label is accepted but flagged with DegenerateClusteringWarning.
     """
-    rows: list[list[int]] = []
-    width = None
-    seen_header = False
-    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if rows or seen_header:
-                raise ValueError(f"line {lineno}: unexpected '#' row (only a single leading header is allowed)")
-            seen_header = True
-            continue
-        cells = [cell.strip() for cell in stripped.split(",")]
-        try:
-            values = [int(cell) for cell in cells]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer cell in {stripped!r}") from None
-        if any(v < 0 for v in values):
-            raise ValueError(f"line {lineno}: negative cluster label")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(f"line {lineno}: ragged rows ({len(values)} cells, expected {width})")
-        rows.append(values)
-    if not rows:
+    lines = enumerate(_read_text(source).splitlines(), start=1)
+    numbered = [(lineno, row) for lineno, line in lines if (row := line.strip())]
+    if numbered and numbered[0][1].startswith("#"):
+        numbered = numbered[1:]
+    if not numbered:
         raise ValueError("empty label matrix")
-    return LabelMatrix.from_array(np.asarray(rows, dtype=np.int64))
+    rows = [row for _, row in numbered]
+    width = rows[0].count(",") + 1
+    # one int() pass over every cell; a '#' row fails it, and int() ignores
+    # the whitespace around a cell
+    try:
+        values = list(map(int, ",".join(rows).split(",")))
+    except ValueError:
+        values = None
+    if values is None or min(values) < 0 or any(row.count(",") != width - 1 for row in rows):
+        raise ValueError(next(filter(None, (_row_error(lineno, row, width) for lineno, row in numbered))))
+    return LabelMatrix.from_array(np.asarray(values, dtype=np.int64).reshape(len(rows), width))
+
+
+def _row_error(lineno: int, row: str, width: int) -> str | None:
+    """What is wrong with one stripped data row of a label matrix, if anything."""
+    if row.startswith("#"):
+        return f"line {lineno}: unexpected '#' row (only a single leading header is allowed)"
+    try:
+        values = [int(cell) for cell in row.split(",")]
+    except ValueError:
+        return f"line {lineno}: non-integer cell in {row!r}"
+    if min(values) < 0:
+        return f"line {lineno}: negative cluster label"
+    if len(values) != width:
+        return f"line {lineno}: ragged rows ({len(values)} cells, expected {width})"
+    return None
 
 
 def write_label_matrix(matrix: LabelMatrix, out: str | IO[str]) -> None:

@@ -52,61 +52,200 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     index) are lexicographically smallest; merge similarities are recorded
     as-is and need not decrease monotonically.
 
-    Invariant: for every live slot r, `rowmax[r]` is the maximum of `work[r]`
-    over live columns and `rowarg[r]` the first live column holding it; dead
-    slots hold -inf and -1, and their rows and columns in `work` are stale and
-    never read unmasked. The first row holding the largest `rowmax` and its
-    `rowarg` are then the pair a row-major argmax over the live submatrix picks.
-    A merge changes only columns i and j of the other rows, so a row keeps its
-    cache or takes column i unless its cached column lost its maximum; only
-    those rows and row i are rescanned. That is O(N) per merge plus O(N) per
-    rescanned row: O(N^2) time when few rows share a maximum column, O(N^3) at
-    worst, and O(N) memory beyond the N x N work matrix.
+    Invariant: the result is, merge for merge and bit for bit, that of this
+    loop run on the N x N `matrix.dense()`, though the loop runs over
+    microclusters. The c objects of a group g (those sharing row g of
+    `matrix.values`, self-similarity S_g) have equal N x N rows, whose other
+    entries are at most S_g, so the dense loop merges them among themselves
+    once S_g leads, as it would a c x c matrix filled with S_g, before any
+    joins another region. Those merges are not all at S_g: averages such as
+    (2S + S)/3 round. So g is one slot of size c, and when S_g leads (it
+    beats the best live `rowmax`, or ties it from a row no later than that
+    one; equal S_g complete lowest slot first) g completes: its intra merges,
+    the c x c dendrogram memoised per (c, S_g), are emitted in sequence, and
+    their recurrence is replayed elementwise on row g. That dendrogram is
+    the chain of members in index order, all at S_g, when no average of S_g
+    rounds, and otherwise this loop on the c x c matrix.
+
+    Safety rule, applied before the loop: a group's window runs from the
+    lowest to the highest live value its c x c loop holds. The group stays
+    one slot only if no off-diagonal entry of `matrix.values` lies in its
+    window (nor reaches it in row g) and its window overlaps no other
+    group's, except that groups whose window is the same single value may
+    tie each other (every CA group is one, as its sums are exact); otherwise
+    its members are singleton slots. With no repeated row (or `leaf=None`)
+    there are no groups and this is the plain loop.
+
+    Cache: for every live slot r, `rowmax[r]` is the maximum of `work[r]`
+    over live columns and `rowarg[r]` the first such column holding it; dead
+    slots hold -inf and -1, and their stale columns in `work` are masked by
+    adding `off` (-inf there, 0 elsewhere). The first row holding the
+    largest `rowmax` and its `rowarg` are then the pair a row-major argmax
+    over the live submatrix picks. A merge or completion changes only
+    columns i and j of the other rows, so a row keeps its cache or takes
+    column i unless its cached column lost its maximum; only those rows and
+    row i are rescanned.
+
+    Cost, for s slots (the number of distinct label rows unless the safety
+    rule splits a group): O(s) per merge plus O(s) per rescanned row, so
+    O(s^2) time when few rows share a maximum column and O(s^3) at worst;
+    O(c s) per completed group for the replay; the c x c loops of the groups
+    whose averages round. Memory is O(s^2 + N) on top of `matrix`.
     """
     n = matrix.n
     if n < 2:
         raise ValueError("need at least two objects to build a dendrogram")
-    work = matrix.values.astype(np.float64, copy=True)
+    leaf = np.arange(n) if matrix.leaf is None else np.asarray(matrix.leaf)
+    values = np.asarray(matrix.values, dtype=np.float64)
+    return Dendrogram(n_leaves=n, merges=tuple(_agglomerate(values, leaf, {})))
+
+
+def _average(sa, va, sb, vb):
+    """The average-link recurrence: similarity to the union of regions a and b."""
+    return (sa * va + sb * vb) / (sa + sb)
+
+
+def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, float]], float, float]:
+    """Merges (left, right, similarity) of c objects at mutual similarity s
+    (leaves 0..c-1; merge t creates c + t) and the lowest and highest live
+    value that loop holds, memoised."""
+    if (c, s) not in memo:
+        # members 0..k-1, once merged, are at similarity v from each later
+        # member; while v >= s they take the next member in turn: a chain
+        sims, v = [s], s
+        for k in range(2, c):
+            v = _average(k - 1, v, 1, s)
+            if v < s and k < c - 1:
+                break
+            sims.append(v)
+        if len(sims) == c - 1:
+            memo[c, s] = [(c + t - 1 if t else 0, t + 1, sim) for t, sim in enumerate(sims)], min(sims), max(sims)
+        else:
+            window = [s, s]
+            merges = _agglomerate(np.full((c, c), s), np.arange(c), memo, window)
+            memo[c, s] = [(e.left, e.right, e.similarity) for e in merges], window[0], window[1]
+    return memo[c, s]
+
+
+def _replay(events: list[tuple[int, int, float]], c: int, row: np.ndarray) -> np.ndarray:
+    """Row of a completed group: its intra merges' recurrence applied
+    elementwise to the row its c members share."""
+    vectors, sizes = [row] * c, [1] * c
+    for left, right, _ in events:
+        # two members average to their own row, (r + r) / 2 = r exactly
+        pair = sizes[left] == sizes[right] == 1
+        vectors.append(row if pair else _average(sizes[left], vectors[left], sizes[right], vectors[right]))
+        sizes.append(sizes[left] + sizes[right])
+        vectors[left] = vectors[right] = None
+    return vectors[-1]
+
+
+def _compressed(values: np.ndarray, groups: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The safety rule: which groups (rows of `values` shared by two or more
+    objects, windows [lo, hi]) are kept as one slot."""
+    # one window per group, except that equal single values share one
+    tag = np.where(lo == hi, -1.0, np.arange(lo.size))
+    windows, inverse = np.unique(np.column_stack([lo, hi, tag]), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    wlo, whi = windows[:, 0], windows[:, 1]
+    reach = np.maximum.accumulate(whi)
+    # windows sorted by lo overlap iff one starts before an earlier one ends
+    split = (wlo <= np.concatenate(([-np.inf], reach[:-1]))) | (whi >= np.concatenate((wlo[1:], [np.inf])))
+    near = values >= wlo[0]
+    np.fill_diagonal(near, False)
+    entries = values[near]
+    inside = np.unique(entries[entries <= reach[np.searchsorted(wlo, entries, side="right") - 1]])
+    split |= np.searchsorted(inside, whi, side="right") > np.searchsorted(inside, wlo, side="left")
+    # a group row reaching its own window off the diagonal
+    rows = values[groups]
+    rows[np.arange(groups.size), groups] = -np.inf
+    split = split[inverse] | (rows.max(axis=1) >= lo)
+    return np.bincount(inverse, weights=split, minlength=windows.shape[0])[inverse] == 0
+
+
+def _agglomerate(
+    values: np.ndarray, leaf: np.ndarray, memo: dict, window: list | None = None
+) -> list[MergeEvent]:
+    """The merges of `build_dendrogram`; `window`, if given, is widened to
+    every live value the loop holds."""
+    n = leaf.size
+    counts = np.bincount(leaf, minlength=values.shape[0])
+    order = np.argsort(leaf, kind="stable")
+    starts = np.cumsum(counts) - counts
+    groups = np.flatnonzero(counts > 1)
+    intra = [_intra(int(counts[g]), float(values[g, g]), memo) for g in groups]
+    whole = np.zeros(values.shape[0], dtype=bool)
+    if groups.size:
+        lo, hi = np.array([w[1:] for w in intra]).T
+        whole[groups] = _compressed(values, groups, lo, hi)
+    # a kept group is one slot at its smallest member; other objects are slots
+    opens = ~whole[leaf]
+    opens[order[starts[whole]]] = True
+    slot_obj = np.flatnonzero(opens)
+    slot_row = leaf[slot_obj]
+    s = slot_obj.size
+    work = values[np.ix_(slot_row, slot_row)]
     np.fill_diagonal(work, -np.inf)
+    size = np.where(whole[slot_row], counts[slot_row], 1).tolist()
+    region = slot_obj.tolist()
+    # kept groups by self-similarity, highest first; a tie goes to the lower slot
+    pending = sorted(
+        (-float(values[g, g]), int(np.searchsorted(slot_obj, order[starts[g]])), t)
+        for t, g in enumerate(groups)
+        if whole[g]
+    )
     rowarg = np.argmax(work, axis=1)
-    rowmax = work[np.arange(n), rowarg]
-    dead = np.zeros(n, dtype=bool)
-    size = [1] * n
-    region = list(range(n))
+    rowmax = work[np.arange(s), rowarg]
+    off = np.zeros(s)  # -inf at dead slots
     merges: list[MergeEvent] = []
-    for step in range(n - 1):
-        # slot s always holds the region whose smallest member is s, so the
-        # first row and column holding the maximum are the tie-break winner
-        i = int(np.argmax(rowmax))
-        j = int(rowarg[i])
-        similarity = float(work[i, j])
-        new_id = n + step
-        merges.append(MergeEvent(region[i], region[j], new_id, similarity))
-        si, sj = size[i], size[j]
-        dead[j] = True
-        rowmax[j] = -np.inf
-        rowarg[j] = -1
-        # merged[i] is -inf because work[i, i] is
-        merged = (si * work[i, :] + sj * work[j, :]) / (si + sj)
-        merged[dead] = -np.inf
-        work[i, :] = merged
+    q = 0
+    while len(merges) < n - 1:
+        # slot r always holds the region whose smallest member is slot_obj[r],
+        # so the first row and column holding the maximum are the tie-break winner
+        i = int(rowmax.argmax())
+        if q < len(pending) and (-pending[q][0], -pending[q][1]) >= (rowmax[i], -i):
+            # the group in slot i completes: emit its intra merges, replay them on row i
+            _, i, t = pending[q]
+            q += 1
+            events = intra[t][0]
+            g, base = groups[t], n + len(merges)
+            ids = order[starts[g] : starts[g] + counts[g]].tolist() + list(range(base, base + len(events)))
+            merges.extend(MergeEvent(ids[a], ids[b], base + e, sim) for e, (a, b, sim) in enumerate(events))
+            region[i] = ids[-1]
+            if len(events) == 1:
+                continue  # a pair replays to its own row: nothing changes
+            merged = _replay(events, len(events) + 1, work[i])
+            j = i
+        else:
+            j = int(rowarg[i])
+            merges.append(MergeEvent(region[i], region[j], n + len(merges), float(work[i, j])))
+            off[j] = -np.inf
+            rowmax[j] = -np.inf
+            rowarg[j] = -1
+            merged = _average(size[i], work[i], size[j], work[j])
+            size[i] += size[j]
+            region[i] = merges[-1].new_id
+        # dead slots' columns are stale in `work`; merged[i] is -inf as work[i, i] is
+        merged += off
+        if window is not None:
+            window[0] = min(window[0], merged.min(where=merged > -np.inf, initial=np.inf))
+            window[1] = max(window[1], merged.max())
+        work[i] = merged
         work[:, i] = merged
-        size[i] = si + sj
-        region[i] = new_id
         # column i now holds `merged`; it becomes a row's first maximum if it
         # beats the cached one or ties it from the left. A row whose cached
         # column was i or j and that does not take column i is rescanned.
-        take = (merged > rowmax) | ((merged == rowmax) & (rowarg >= i))
-        rescan = ~take & ((rowarg == i) | (rowarg == j))
+        take = np.where(rowarg >= i, merged >= rowmax, merged > rowmax)
+        rescan = (rowarg == i) | (rowarg == j)
+        rescan &= ~take
         rescan[i] = True
-        rowmax[take] = merged[take]
-        rowarg[take] = i
-        rows = np.flatnonzero(rescan)
-        block = np.where(dead, -np.inf, work[rows])
-        cols = np.argmax(block, axis=1)
-        rowarg[rows] = cols
-        rowmax[rows] = block[np.arange(rows.size), cols]
-    return Dendrogram(n_leaves=n, merges=tuple(merges))
+        np.copyto(rowmax, merged, where=take)
+        np.copyto(rowarg, i, where=take)
+        rows = rescan.nonzero()[0]
+        block = work[rows] + off
+        rowarg[rows] = block.argmax(axis=1)
+        rowmax[rows] = block.max(axis=1)
+    return merges
 
 
 def cut_dendrogram(dendrogram: Dendrogram, k: int, method: str = "average-link") -> ConsensusResult:

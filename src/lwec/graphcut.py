@@ -380,7 +380,8 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     if k**nc <= INDUCED_SEARCH_LIMIT:
         b = graph.affinity()
         induced = _best_induced_partition(b / b.max(), k)
-        if induced is not None:
+        # a start that leaves a segment without objects has no finite cut value
+        if induced is not None and np.bincount(induced, minlength=k).all():
             alt, alt_value = _refine_partition(edges, induced, k)
             if alt_value < value - 1e-12:
                 refined = alt

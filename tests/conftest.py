@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from lwec import LabelMatrix, build_ensemble_view
+from lwec import (
+    ExperimentConfig,
+    LabelMatrix,
+    build_ensemble_view,
+    draw_ensemble,
+    generate_pool,
+    make_gaussian_blobs,
+)
 
 # Hand-built 16-object, 3-clustering ensemble with a known uncertainty profile:
 # the first clustering has clusters of sizes 8/3/5, the 8-object cluster splits
@@ -35,6 +42,14 @@ def worked_matrix() -> LabelMatrix:
 @pytest.fixture(scope="session")
 def worked_view(worked_matrix):
     return build_ensemble_view(worked_matrix)
+
+
+@pytest.fixture(scope="session")
+def blob_view_m20():
+    """200 blob points, a 20-member k-means pool, and all 20 members drawn."""
+    x, _ = make_gaussian_blobs(200, [[0.0, 0.0], [9.0, 9.0], [18.0, 0.0]], spread=1.0, seed=1)
+    pool = generate_pool(x, ExperimentConfig(pool_size=20, ensemble_size=20, seed=0))
+    return build_ensemble_view(draw_ensemble(pool, 20, seed=3))
 
 
 def column_members(view, column: int) -> list[np.ndarray]:

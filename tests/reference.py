@@ -409,3 +409,54 @@ def refine_partition_loop_ref(
         if not improved:
             break
     return full[:n], current
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row label-matrix parser and the N x N co-association accumulation
+# that lwec replaced; kept to check the replacements exactly
+
+
+def parse_label_matrix_loop_ref(source):
+    """The line-by-line parser `lwec.parse_label_matrix` replaced: same
+    LabelMatrix, same first error message."""
+    from lwec.ensemble import LabelMatrix, _read_text
+
+    rows: list[list[int]] = []
+    width = None
+    seen_header = False
+    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if rows or seen_header:
+                raise ValueError(f"line {lineno}: unexpected '#' row (only a single leading header is allowed)")
+            seen_header = True
+            continue
+        cells = [cell.strip() for cell in stripped.split(",")]
+        try:
+            values = [int(cell) for cell in cells]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer cell in {stripped!r}") from None
+        if any(v < 0 for v in values):
+            raise ValueError(f"line {lineno}: negative cluster label")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ValueError(f"line {lineno}: ragged rows ({len(values)} cells, expected {width})")
+        rows.append(values)
+    if not rows:
+        raise ValueError("empty label matrix")
+    return LabelMatrix.from_array(np.asarray(rows, dtype=np.int64))
+
+
+def coassoc_dense_ref(view, weights: np.ndarray) -> np.ndarray:
+    """The N x N accumulation `lwec.coassoc` replaced: each cluster's weight
+    added to every pair of its members in cluster-id order, then divided by M."""
+    n = view.n_objects
+    values = np.zeros((n, n))
+    for members, weight in zip(view.members(), weights):
+        values[np.ix_(members, members)] += weight
+    values /= view.n_clusterings
+    values.flags.writeable = False
+    return values

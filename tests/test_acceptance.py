@@ -112,10 +112,10 @@ class TestCriterion4Oracles:
             matrix = LabelMatrix.from_array(random_label_array(rng, n, m))
             view = build_ensemble_view(matrix)
             report = annotate_validity(view, theta=0.4)
-            if np.abs(build_ca(view).values - ref.ca_ref(matrix.labels)).max() > 1e-12:
+            if np.abs(build_ca(view).dense() - ref.ca_ref(matrix.labels)).max() > 1e-12:
                 ok = False
             lwca = build_lwca(view, report)
-            if np.abs(lwca.values - ref.lwca_ref(matrix.labels, report.eci)).max() > 1e-12:
+            if np.abs(lwca.dense() - ref.lwca_ref(matrix.labels, report.eci)).max() > 1e-12:
                 ok = False
         report_line(4, "co-association vs triple-loop oracle", ok)
 
@@ -243,8 +243,8 @@ def test_criterion_8_module_invariants():
     order = np.argsort(report.uncertainty)
     ok &= bool((np.diff(report.eci[order]) <= 1e-12).all())
 
-    ca = build_ca(view).values
-    lwca = build_lwca(view, report).values
+    ca = build_ca(view).dense()
+    lwca = build_lwca(view, report).dense()
     ok &= bool(np.array_equal(ca, ca.T) and np.array_equal(lwca, lwca.T))
     ok &= bool((lwca <= ca + 1e-15).all())
 

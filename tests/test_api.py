@@ -39,7 +39,7 @@ def test_attributes_read_by_the_benchmark(worked_view):
     assert report.eci.shape == (view.n_clusters,)
 
     matrix = build_lwca(view, report)
-    assert matrix.values.shape == (n, n) and matrix.values.dtype == np.float64
+    assert matrix.dense().shape == (n, n) and matrix.dense().dtype == np.float64
 
     dendrogram = build_dendrogram(matrix)
     assert len(dendrogram.merges) == n - 1

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from lwec.harness import write_features
 from lwec.ensemble import write_labels
 
 from conftest import random_label_array
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,20 @@ class TestEvalCommand:
         lines = dump.read_text().strip().splitlines()
         assert len(lines) == 40
         assert [len(l.split(",")) for l in lines] == list(range(1, 41))
+
+    @pytest.mark.parametrize("theta, golden", [(None, "coassoc_ca.csv"), (0.4, "coassoc_lwca.csv")])
+    def test_coassoc_dump_golden(self, tmp_path, capsys, theta, golden):
+        # 24 objects in 18 distinct label rows; the golden files were written
+        # by the N x N implementation
+        labels = tmp_path / "labels.csv"
+        rows = np.random.default_rng(77).integers(0, 3, size=(24, 3))
+        write_label_matrix(LabelMatrix.from_array(rows), str(labels))
+        truth = tmp_path / "truth.txt"
+        write_labels(np.zeros(5, dtype=int), str(truth))
+        dump = tmp_path / "dump.csv"
+        args = ["eval", "--pred", truth, "--truth", truth, "--labels", labels, "--dump-coassoc", dump]
+        assert run_cli(args + ([] if theta is None else ["--theta", theta])) == 0
+        assert dump.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_dump_without_labels_fails(self, data_dir, tmp_path, capsys):
         code = run_cli(

@@ -33,32 +33,32 @@ class TestBuildCa:
         trio = worked_view.members()[1]
         for i in trio:
             for j in trio:
-                assert ca.values[i, j] == 1.0
+                assert ca.dense()[i, j] == 1.0
 
     def test_never_coclustered_pair_is_zero(self):
         arr = np.array([[0, 0], [0, 1], [1, 1]])
         ca = build_ca(build_ensemble_view(LabelMatrix.from_array(arr)))
-        assert ca.values[0, 2] == 0.0
+        assert ca.dense()[0, 2] == 0.0
 
     def test_single_clustering_is_indicator(self):
         col = np.array([0, 1, 0, 2, 1, 0])
         ca = build_ca(build_ensemble_view(LabelMatrix.from_array(col[:, None])))
-        assert set(np.unique(ca.values)) == {0.0, 1.0}
-        assert ca.values[0, 2] == 1.0
-        assert ca.values[0, 1] == 0.0
+        assert set(np.unique(ca.dense())) == {0.0, 1.0}
+        assert ca.dense()[0, 2] == 1.0
+        assert ca.dense()[0, 1] == 0.0
 
     def test_diagonal_is_exactly_one(self):
         rng = np.random.default_rng(2)
         for m in (1, 3, 7):
             view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, 12, m)))
-            assert (np.diag(build_ca(view).values) == 1.0).all()
+            assert (np.diag(build_ca(view).dense()) == 1.0).all()
 
     @given(label_arrays(max_n=10, max_m=3))
     @settings(max_examples=60)
     def test_matches_triple_loop_oracle(self, arr):
         m = LabelMatrix.from_array(arr)
         ca = build_ca(build_ensemble_view(m))
-        assert np.abs(ca.values - ref.ca_ref(m.labels)).max() <= 1e-12
+        assert np.abs(ca.dense() - ref.ca_ref(m.labels)).max() <= 1e-12
 
 
 class TestBuildLwca:
@@ -68,7 +68,7 @@ class TestBuildLwca:
             view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, 15, 4)))
             ca = build_ca(view)
             lwca = build_lwca(view, unit_report(view))
-            assert np.array_equal(ca.values, lwca.values)
+            assert np.array_equal(ca.dense(), lwca.dense())
 
     def test_single_shared_cluster_contributes_weight_over_m(self):
         # objects 0 and 1 share a cluster only in column 0
@@ -77,7 +77,7 @@ class TestBuildLwca:
         report = annotate_validity(view, theta=0.5)
         shared = view.cluster_ids[0, 0]
         lwca = build_lwca(view, report)
-        assert lwca.values[0, 1] == pytest.approx(report.eci[shared] / 3, abs=1e-12)
+        assert lwca.dense()[0, 1] == pytest.approx(report.eci[shared] / 3, abs=1e-12)
 
     def test_worked_example_pair_inside_stable_trio(self, worked_view):
         report = annotate_validity(worked_view, theta=0.5)
@@ -86,7 +86,7 @@ class TestBuildLwca:
         i, j = int(trio[0]), int(trio[1])
         containing = [worked_view.cluster_ids[i, col] for col in range(3)]
         expected = sum(report.eci[c] for c in containing) / 3
-        assert lwca.values[i, j] == pytest.approx(expected, abs=1e-12)
+        assert lwca.dense()[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_diagonal_is_mean_reliability(self):
         rng = np.random.default_rng(6)
@@ -94,7 +94,7 @@ class TestBuildLwca:
         report = annotate_validity(view, theta=0.3)
         lwca = build_lwca(view, report)
         expected = report.eci[view.cluster_ids].mean(axis=1)
-        assert np.allclose(np.diag(lwca.values), expected, atol=1e-12)
+        assert np.allclose(np.diag(lwca.dense()), expected, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self, worked_view):
         bad = ValidityReport(
@@ -110,7 +110,7 @@ class TestBuildLwca:
         view = build_ensemble_view(m)
         report = annotate_validity(view, theta=0.5)
         lwca = build_lwca(view, report)
-        assert np.abs(lwca.values - ref.lwca_ref(m.labels, report.eci)).max() <= 1e-12
+        assert np.abs(lwca.dense() - ref.lwca_ref(m.labels, report.eci)).max() <= 1e-12
 
 
 class TestProperties:
@@ -123,8 +123,8 @@ class TestProperties:
             view = build_ensemble_view(
                 LabelMatrix.from_array(random_label_array(rng, n, m, max_clusters=6))
             )
-            ca = build_ca(view).values
-            lwca = build_lwca(view, annotate_validity(view, theta=0.4)).values
+            ca = build_ca(view).dense()
+            lwca = build_lwca(view, annotate_validity(view, theta=0.4)).dense()
             assert np.array_equal(ca, ca.T)
             assert np.array_equal(lwca, lwca.T)
             assert (ca >= 0).all() and (ca <= 1).all()
@@ -137,14 +137,42 @@ class TestProperties:
         perm = rng.permutation(16)
         view = build_ensemble_view(LabelMatrix.from_array(arr))
         view_p = build_ensemble_view(LabelMatrix.from_array(arr[perm]))
-        ca = build_ca(view).values
-        ca_p = build_ca(view_p).values
+        ca = build_ca(view).dense()
+        ca_p = build_ca(view_p).dense()
         assert np.array_equal(ca_p, ca[np.ix_(perm, perm)])
         report = annotate_validity(view, 0.5)
         report_p = annotate_validity(view_p, 0.5)
-        lwca = build_lwca(view, report).values
-        lwca_p = build_lwca(view_p, report_p).values
+        lwca = build_lwca(view, report).dense()
+        lwca_p = build_lwca(view_p, report_p).dense()
         assert np.abs(lwca_p - lwca[np.ix_(perm, perm)]).max() <= 1e-12
+
+
+class TestMicroclusterStorage:
+    """The matrix is stored once per distinct label row; `dense()` must be
+    the N x N accumulation it replaced, bit for bit."""
+
+    @given(label_arrays(max_n=30, max_m=4))
+    @settings(max_examples=80)
+    def test_dense_equals_the_n_by_n_accumulation(self, arr):
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        assert np.array_equal(build_ca(view).dense(), ref.coassoc_dense_ref(view, np.ones(view.n_clusters)))
+        for theta in (0.05, 0.5):
+            report = annotate_validity(view, theta)
+            if report.eci.any():
+                assert np.array_equal(build_lwca(view, report).dense(), ref.coassoc_dense_ref(view, report.eci))
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-3, 0.4])
+    def test_zero_weight_clusters_do_not_split_rows(self, blob_view_m20, theta):
+        report = annotate_validity(blob_view_m20, theta)
+        lwca = build_lwca(blob_view_m20, report)
+        assert np.array_equal(lwca.dense(), ref.coassoc_dense_ref(blob_view_m20, report.eci))
+        assert lwca.values.shape[0] <= np.unique(blob_view_m20.cluster_ids, axis=0).shape[0]
+
+    def test_rows_numbered_by_smallest_member(self):
+        arr = np.array([[1, 0], [0, 1], [1, 0], [0, 0], [0, 1]])
+        ca = build_ca(build_ensemble_view(LabelMatrix.from_array(arr)))
+        assert ca.n == 5
+        assert ca.leaf.tolist() == [0, 1, 0, 2, 1]
 
 
 class TestDump:

@@ -18,6 +18,7 @@ from lwec import (
 )
 from lwec.ensemble import relabel_first_appearance
 
+import reference as ref
 from conftest import column_members, label_arrays, random_label_array
 
 
@@ -76,6 +77,43 @@ class TestParsing:
         assert worked_matrix.n_objects == 16
         assert worked_matrix.clusters_per_column == (3, 3, 3)
         assert worked_matrix.n_clusters_total == 9
+
+
+def parse_outcome(parse, text):
+    """The matrix a parser returns, or the type and message of what it raises."""
+    try:
+        matrix = parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return matrix.labels.tolist(), matrix.original_labels
+
+
+class TestParserAgainstLineLoop:
+    """`parse_label_matrix` splits all cells at once; the line-by-line loop it
+    replaced gives the same matrix and the same first error."""
+
+    LINES = [
+        "0,1", "1,0", "2,2", " 3 ,4 ", "5,6", "-0,1", "+1,2", "1\t,2",  # good rows
+        "# header", "#x,1",  # a '#' row
+        "1,2,3", "5", "", "   ",  # ragged rows and blank lines
+        "1,-2", "-99999999999999999999,x",  # negative labels
+        "a,1", "1.0,2", "1,", ",1", "1 2,3", "1, ,2",  # non-integer and whitespace cells
+        "99999999999999999999,1",  # too large for int64
+    ]
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "# only a header\n", "0,1\n# stray\n1,0", "# a\n# b\n0,1\n1,0",
+        "0,1\n1,0,1\n1,-1", "0,x\n1,0,1", "0,1\n1,-1\n1,x", " \n0 , 1\n\t\n1,0\n",
+    ])
+    def test_named_cases(self, text):
+        assert parse_outcome(parse_label_matrix, text) == parse_outcome(ref.parse_label_matrix_loop_ref, text)
+
+    def test_malformed_corpus(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(3000):
+            picks = rng.integers(0, len(self.LINES), size=int(rng.integers(0, 7)))
+            text = "\n".join(self.LINES[i] for i in picks) + "\n" * int(rng.integers(0, 2))
+            assert parse_outcome(parse_label_matrix, text) == parse_outcome(ref.parse_label_matrix_loop_ref, text)
 
 
 class TestEnsembleView:

@@ -1,8 +1,10 @@
 """Average-link dendrogram construction, cutting, and the weighted consensus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lwec import (
@@ -97,8 +99,8 @@ class TestArgmaxOracleAtScale:
         arr = random_label_array(rng, n, int(rng.integers(2, 6)), max_clusters=4)
         matrix = build_ca(build_ensemble_view(LabelMatrix.from_array(arr)))
         # few distinct values, so most maxima are tied
-        assert np.unique(matrix.values).size <= arr.shape[1] + 1
-        assert merge_tuples(build_dendrogram(matrix)) == ref.average_link_argmax_ref(matrix.values)
+        assert np.unique(matrix.dense()).size <= arr.shape[1] + 1
+        assert merge_tuples(build_dendrogram(matrix)) == ref.average_link_argmax_ref(matrix.dense())
 
     @pytest.mark.parametrize("seed", range(2))
     def test_blob_voronoi_lwca_with_inversions(self, seed):
@@ -106,7 +108,7 @@ class TestArgmaxOracleAtScale:
         arr = voronoi_label_array(x, 10, np.random.default_rng(seed))
         view = build_ensemble_view(LabelMatrix.from_array(arr))
         matrix = build_lwca(view, annotate_validity(view, 0.4))
-        expected = ref.average_link_argmax_ref(matrix.values)
+        expected = ref.average_link_argmax_ref(matrix.dense())
         sims = [merge[3] for merge in expected]
         assert any(later > earlier for earlier, later in zip(sims, sims[1:]))
         assert merge_tuples(build_dendrogram(matrix)) == expected
@@ -129,6 +131,77 @@ class TestArgmaxOracleAtScale:
         values = np.zeros((200, 200))
         got = merge_tuples(build_dendrogram(sym_matrix(values)))
         assert got == ref.average_link_argmax_ref(values)
+
+
+class TestMicroclusters:
+    """Objects with equal label rows share one row of the stored matrix; the
+    dendrogram must still be the dense loop's, merge for merge."""
+
+    @staticmethod
+    def assert_dense_loop(matrix):
+        assert merge_tuples(build_dendrogram(matrix)) == ref.average_link_argmax_ref(matrix.dense())
+
+    def test_worked_example_stores_one_row_per_distinct_label_row(self, worked_view):
+        matrix = build_ca(worked_view)
+        assert matrix.n == 16 and matrix.values.shape == (7, 7)
+        assert matrix.leaf.tolist() == [0, 0, 1, 1, 2, 3, 3, 3, 4, 4, 4, 5, 6, 6, 6, 6]
+        self.assert_dense_loop(matrix)
+
+    @seed(5150)
+    @given(label_arrays(min_n=4, max_n=59, min_m=1, max_m=5, max_clusters=4))
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_corpus(self, arr):
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        self.assert_dense_loop(build_ca(view))
+        for theta in (0.05, 0.4, 1.0):
+            report = annotate_validity(view, theta)
+            if report.eci.any():
+                self.assert_dense_loop(build_lwca(view, report))
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-3, 0.01, 0.4])
+    def test_blob_pool_across_thetas(self, blob_view_m20, theta):
+        self.assert_dense_loop(build_lwca(blob_view_m20, annotate_validity(blob_view_m20, theta)))
+
+    def test_voronoi_ensemble_at_n_1500(self):
+        x, _ = make_gaussian_blobs(1500, [[0, 0], [6, 0], [3, 5]], spread=1.5, seed=5)
+        arr = voronoi_label_array(x, 10, np.random.default_rng(5))
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        matrix = build_lwca(view, annotate_validity(view, 0.4))
+        assert matrix.values.shape[0] < 1500
+        self.assert_dense_loop(matrix)
+
+    def test_group_tied_by_another_entry_is_split(self):
+        # the pair's self-similarity 0.5 is also its entry with object 2
+        self.assert_dense_loop(CoassocMatrix(np.array([[0.5, 0.5], [0.5, 1.0]]), "ca", np.array([0, 0, 1])))
+
+    def test_group_row_above_its_diagonal_is_split(self):
+        # a hand-built row may exceed its diagonal; object 0 then joins object 2 first
+        self.assert_dense_loop(CoassocMatrix(np.array([[0.2, 0.9], [0.9, 1.0]]), "ca", np.array([0, 0, 1])))
+
+    def test_single_group(self):
+        self.assert_dense_loop(CoassocMatrix(np.array([[0.7]]), "lwca", np.zeros(9, dtype=np.int64)))
+
+    def test_lwea_memory_below_half_the_dense_matrix(self):
+        # blobs and Voronoi columns of 2..39 clusters, as in the lwea-dense
+        # benchmark: about 40% of the label rows are distinct, and the stored
+        # matrix and the loop's work copy are each p x p
+        n = 1500
+        angles = np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False)
+        x, _ = make_gaussian_blobs(n, 9.0 * np.column_stack([np.cos(angles), np.sin(angles)]), spread=3.0, seed=6)
+        rng = np.random.default_rng(6)
+        columns = []
+        for k in rng.permutation(np.rint(np.linspace(2, 39, 10)).astype(int)):
+            sites = x[rng.choice(n, size=k, replace=False)]
+            columns.append(((x[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2).argmin(axis=1))
+        view = build_ensemble_view(LabelMatrix.from_array(np.column_stack(columns)))
+        lwea(view, 3, theta=0.4)
+        tracemalloc.start()
+        try:
+            lwea(view, 3, theta=0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
 
 
 class TestCutDendrogram:

@@ -9,15 +9,12 @@ from hypothesis import given, settings
 
 from lwec import (
     BipartiteGraph,
-    ExperimentConfig,
     LabelMatrix,
     PartitionWarning,
     ValidityReport,
     annotate_validity,
     build_ensemble_view,
     build_lwbg,
-    draw_ensemble,
-    generate_pool,
     lwea,
     lwgp,
     make_gaussian_blobs,
@@ -232,14 +229,6 @@ class TestConnectedComponents:
         assert np.array_equal(_connected_components(graph), ref.components_ref(arr[:, :2]))
         pair = BipartiteGraph(view.cluster_ids[:, :2], weights[:-1])
         assert np.array_equal(graph.affinity(), pair.affinity())
-
-
-@pytest.fixture(scope="module")
-def blob_view_m20():
-    """200 blob points, a 20-member k-means pool, and all 20 members drawn."""
-    x, _ = make_gaussian_blobs(200, [[0.0, 0.0], [9.0, 9.0], [18.0, 0.0]], spread=1.0, seed=1)
-    pool = generate_pool(x, ExperimentConfig(pool_size=20, ensemble_size=20, seed=0))
-    return build_ensemble_view(draw_ensemble(pool, 20, seed=3))
 
 
 class TestZeroWeights:
@@ -469,3 +458,19 @@ def test_spectral_path_builds_no_dense_affinity():
     finally:
         tracemalloc.stop()
     assert peak < graph.n_objects * graph.n_clusters * 8 / 4
+
+
+def test_induced_start_with_an_empty_segment_is_skipped():
+    # the exhaustive search's best object labels use only two of three
+    # segments; refining that start would divide 0 by 0
+    rng = np.random.default_rng(11)
+    rng.integers(2, 4)
+    rng.integers(2, 5)
+    view = build_ensemble_view(LabelMatrix.from_array(rng.integers(0, 2, size=(40, 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        labels = lwgp(view, 3, theta=0.4).labels
+    # the labels of the unfixed code, run with warnings ignored
+    expected = [0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 2, 2, 0, 0, 2, 2, 2, 1, 1, 1,
+                2, 2, 0, 0, 1, 0, 1, 1, 0, 0, 0, 2, 1, 2, 2, 1, 2, 1, 0, 0]
+    assert labels.tolist() == expected
