@@ -37,6 +37,14 @@ class PartitionWarning(UserWarning):
 # spectral embedding alone (plus greedy refinement).
 INDUCED_SEARCH_LIMIT = 20_000
 
+# Graphs with at most this many positive-weight clusters take the k leading
+# eigenvectors of the normalized cluster graph from a full eigh, larger ones
+# from the block Lanczos of _top_eigenvectors. Measured crossover on one
+# thread, k = 2..5, Voronoi ensembles of three blobs: the Lanczos is faster
+# from about 450 clusters with 10% label noise, and from about 700 without
+# noise, where it needs the most blocks.
+EIGH_MAX_CLUSTERS = 700
+
 # Consecutive nodes whose move gains _refine_partition evaluates in one numpy
 # pass; a larger block wastes more work past each move, a smaller one pays
 # more per-call overhead between moves.
@@ -210,9 +218,58 @@ def _transfer(edges: _Edges, share: np.ndarray, f_cluster: np.ndarray) -> np.nda
     return f_obj
 
 
+def _top_eigenvectors(sym: np.ndarray, k: int) -> np.ndarray:
+    """The k leading eigenvectors of a symmetric matrix, by block Lanczos.
+
+    Blocks of k columns, starting from a fixed-seed PCG64 block, grow an
+    orthonormal basis Q of the Krylov space. Each new product sym @ Q_last is
+    orthogonalized against all of Q twice, and the coefficients fill
+    T = Q^T sym Q. After each block, Rayleigh-Ritz on T gives the k leading
+    Ritz pairs. The loop stops once every Ritz residual ||r w_last|| is at
+    most 1e-10 (r is the part of sym @ Q_last outside Q, w_last the last
+    block of the Ritz vector in T's coordinates; the normalized cluster
+    graph has spectral norm 1). If the basis would first outgrow the matrix,
+    or (4 k n^3)^(1/4) columns, beyond which the Rayleigh-Ritz steps alone
+    cost about one full eigh, the full eigh answers instead.
+
+    Columns come in ascending eigenvalue order, as from eigh, but the basis
+    of the leading subspace is another one: the transfer cut only needs the
+    subspace, since its row-normalized embedding is seen through row norms
+    and distances alone. Deterministic: the same input gives the same bytes.
+    """
+    n = sym.shape[0]
+    budget = min(n, (4 * k * n**3) ** 0.25)
+    rng = np.random.Generator(np.random.PCG64(0))
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    basis = q
+    t = np.zeros((0, 0))
+    while True:
+        y = sym @ q
+        h = basis.T @ y
+        r = y - basis @ h
+        c = basis.T @ r
+        r -= basis @ c
+        h += c
+        t = np.block([[t, h[:-k]], [h[:-k].T, h[-k:]]])
+        _, w = np.linalg.eigh(t)
+        w = w[:, -k:]
+        if (np.linalg.norm(r @ w[-k:], axis=0) <= 1e-10).all():
+            return basis @ w
+        if basis.shape[1] + k > budget:
+            return np.linalg.eigh(sym)[1][:, -k:]
+        # where r is rank-deficient its QR invents columns that need not be
+        # orthogonal to the basis; one more projection makes them so
+        q, _ = np.linalg.qr(r)
+        q, _ = np.linalg.qr(q - basis @ (basis.T @ q))
+        basis = np.hstack([basis, q])
+
+
 def _embedding(edges: _Edges, k: int) -> np.ndarray:
     """Row-normalized object embedding: the k leading eigenvectors of the
-    normalized W_c, transferred to the objects through D_o^-1 B."""
+    normalized W_c, transferred to the objects through D_o^-1 B.
+
+    The eigenvectors come from a full eigh while W_c has at most
+    EIGH_MAX_CLUSTERS rows and from `_top_eigenvectors` beyond that."""
     share = edges.weights / edges.weights.sum(axis=1)[:, None]  # D_o^-1 B, one entry per edge
     w_c = _cluster_graph(edges, share)
     inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
@@ -221,8 +278,11 @@ def _embedding(edges: _Edges, k: int) -> np.ndarray:
     sym = w_c + w_c.T
     del w_c
     sym /= 2
-    _, vecs = np.linalg.eigh(sym)
-    f_obj = _transfer(edges, share, vecs[:, -k:])
+    if edges.n_clusters <= EIGH_MAX_CLUSTERS:
+        vecs = np.linalg.eigh(sym)[1][:, -k:]
+    else:
+        vecs = _top_eigenvectors(sym, k)
+    f_obj = _transfer(edges, share, vecs)
     norms = np.linalg.norm(f_obj, axis=1)
     norms[norms == 0] = 1.0
     return f_obj / norms[:, None]
@@ -339,6 +399,14 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     Small graphs (k ** n_c within INDUCED_SEARCH_LIMIT) additionally search
     every cluster-side segment assignment exactly and keep whichever start
     refines to the lower cut. Deterministic for a fixed seed.
+
+    The eigenpairs come from a full eigh on graphs of at most
+    EIGH_MAX_CLUSTERS positive-weight clusters and from the block Lanczos of
+    `_top_eigenvectors` on larger ones, which stops at Ritz residuals of
+    1e-10. Both give the same leading subspace up to rounding, and the
+    row-normalized embedding depends on that subspace alone, so the labels
+    agree unless k-means meets a tie within rounding. At 1,020 clusters the
+    Lanczos takes about 40 ms against 0.25 s for the eigh.
 
     Every step reads the N x M edges of `graph.cluster_ids` (see `_Edges`):
     object degrees and the embedding are M-term sums per object, W_c is

@@ -118,8 +118,16 @@ class ExperimentConfig:
             raise ValueError("pool_size, ensemble_size and runs must be positive")
         if self.ensemble_size > self.pool_size:
             raise ValueError("ensemble_size cannot exceed pool_size")
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError("theta must be positive")
+        # the sweeps' values fail here, before the pool's k-means runs; the
+        # messages are those annotate_validity and draw_ensemble would give
+        for theta in self.theta_grid or ():
+            if not theta > 0:
+                raise ValueError(f"theta must be positive, got {theta}")
+        for m in self.m_grid or ():
+            if not 1 <= m <= self.pool_size:
+                raise ValueError(f"ensemble size must be in [1, {self.pool_size}], got {m}")
         if self.k_policy not in ("true-k", "best-k", "fixed"):
             raise ValueError(f"unknown k policy {self.k_policy!r}")
         if self.k_policy == "fixed" and (self.fixed_k is None or self.fixed_k < 1):

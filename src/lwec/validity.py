@@ -54,7 +54,7 @@ def uncertainty_table(view: EnsembleView) -> np.ndarray:
 
 def eci(uncertainty: float, theta: float, ensemble_size: int) -> float:
     """Reliability weight exp(-uncertainty / (theta * ensemble_size)), in (0, 1]."""
-    if theta <= 0:
+    if not theta > 0:  # NaN fails this test too
         raise ValueError(f"theta must be positive, got {theta}")
     if ensemble_size < 1:
         raise ValueError(f"ensemble size must be >= 1, got {ensemble_size}")
@@ -80,7 +80,7 @@ def annotate_validity(view: EnsembleView, theta: float = DEFAULT_THETA) -> Valid
     column at a time in column order: a pairwise row sum rounds differently,
     and the last bit of a weight can change an average-link merge.
     """
-    if theta <= 0:
+    if not theta > 0:  # NaN fails this test too
         raise ValueError(f"theta must be positive, got {theta}")
     m = view.n_clusterings
     table = uncertainty_table(view)

@@ -412,8 +412,9 @@ def refine_partition_loop_ref(
 
 
 # ---------------------------------------------------------------------------
-# the row-by-row label-matrix parser and the N x N co-association accumulation
-# that lwec replaced; kept to check the replacements exactly
+# the row-by-row label-matrix parser, the N x N co-association accumulation and
+# the full-eigh embedding that lwec replaced; kept to check the replacements
+# exactly
 
 
 def parse_label_matrix_loop_ref(source):
@@ -460,3 +461,24 @@ def coassoc_dense_ref(view, weights: np.ndarray) -> np.ndarray:
     values /= view.n_clusterings
     values.flags.writeable = False
     return values
+
+
+def embedding_eigh_ref(edges, k: int) -> np.ndarray:
+    """`lwec.graphcut._embedding` before the block Lanczos, verbatim: the k
+    leading eigenvectors of the normalized W_c from a full eigh at every
+    size, transferred to the objects and row-normalized."""
+    from lwec.graphcut import _cluster_graph, _transfer
+
+    share = edges.weights / edges.weights.sum(axis=1)[:, None]  # D_o^-1 B, one entry per edge
+    w_c = _cluster_graph(edges, share)
+    inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
+    w_c *= inv_sqrt[:, None]
+    w_c *= inv_sqrt[None, :]
+    sym = w_c + w_c.T
+    del w_c
+    sym /= 2
+    _, vecs = np.linalg.eigh(sym)
+    f_obj = _transfer(edges, share, vecs[:, -k:])
+    norms = np.linalg.norm(f_obj, axis=1)
+    norms[norms == 0] = 1.0
+    return f_obj / norms[:, None]

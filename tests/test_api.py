@@ -1,6 +1,10 @@
 """Public names resolve, and the attributes that perfbench/bench.py reads keep their shapes."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,3 +51,13 @@ def test_attributes_read_by_the_benchmark(worked_view):
 
     graph = build_lwbg(view, report)
     assert (graph.n_objects, graph.n_clusters) == (n, view.n_clusters)
+
+
+def test_numpy_is_the_only_numeric_dependency():
+    # scipy is not a dependency: a scipy import that works where scipy happens
+    # to be installed breaks for every user who installed lwec alone
+    code = "import sys, lwec, lwec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(lwec.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -95,6 +95,28 @@ class TestConsensusCommand:
         assert "theta=1e-300" in err
 
 
+    @pytest.mark.parametrize("method", ["lwea", "lwgp"])
+    def test_nan_theta_fails(self, pool_file, tmp_path, capsys, method):
+        code = run_cli(
+            ["consensus", "--labels", pool_file, "--method", method, "--k", 3,
+             "--theta", "nan", "--out", tmp_path / "x.txt"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: theta must be positive, got nan\n"
+
+    @pytest.mark.parametrize("method", ["lwea", "lwgp"])
+    def test_infinite_theta_gives_unit_weights(self, pool_file, tmp_path, method):
+        out = {}
+        for theta in ("inf", "1e300"):
+            out[theta] = tmp_path / f"{theta}.txt"
+            code = run_cli(
+                ["consensus", "--labels", pool_file, "--method", method, "--k", 3,
+                 "--theta", theta, "--out", out[theta]]
+            )
+            assert code == 0
+        assert out["inf"].read_bytes() == out["1e300"].read_bytes()
+
+
 class TestEvalCommand:
     def test_prints_four_decimal_nmi(self, data_dir, tmp_path, capsys):
         code = run_cli(["eval", "--pred", data_dir / "truth.txt", "--truth", data_dir / "truth.txt"])

@@ -285,6 +285,57 @@ def scaled_affinity(graph):
     return b / b.max()
 
 
+def blob_voronoi_view(n, ks, seed, noise=0.0):
+    """Voronoi ensemble over n points of three blobs, like the benchmark's
+    inputs: column c labels each point by the nearest of ks[c] random points,
+    and with probability `noise` redraws the label uniformly from [0, ks[c])."""
+    x, _ = make_gaussian_blobs(n, [[0.0, 0.0], [9.0, 9.0], [18.0, 0.0]], spread=3.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    columns = []
+    for k in ks:
+        sites = x[rng.choice(n, size=k, replace=False)]
+        column = ((x[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        if noise:
+            flip = rng.random(n) < noise
+            column[flip] = rng.integers(0, k, size=int(flip.sum()))
+        columns.append(column)
+    return build_ensemble_view(LabelMatrix.from_array(np.column_stack(columns)))
+
+
+def spread_sizes(total, widest=32):
+    """Cluster counts of ceil(total / widest) columns, within one of each
+    other, adding up to total."""
+    m = -(-total // widest)
+    return [total // m + (i < total % m) for i in range(m)]
+
+
+def normalized_cluster_graph(graph):
+    """D_c^-1/2 W_c D_c^-1/2 from the dense affinity, W_c = B^T D_o^-1 B."""
+    b = scaled_affinity(graph)
+    w_c = b.T @ (b / b.sum(axis=1)[:, None])
+    inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
+    return (w_c + w_c.T) / 2 * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def subspace_gap(v, u):
+    """||V V^T U - U||: how far the columns of U reach outside span(V)."""
+    return np.linalg.norm(v @ (v.T @ u) - u)
+
+
+def full_eigh_calls(monkeypatch, n):
+    """Record every np.linalg.eigh call on an n x n matrix."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        if a.shape == (n, n):
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
 class TestRefineBlockScan:
     """The block scan must make exactly the moves of the node-by-node loop."""
 
@@ -387,6 +438,105 @@ class TestSparseSpectral:
             f_obj = graphcut._transfer(edges, share, f_cluster)
             assert np.allclose(f_obj, dense_share @ f_cluster, rtol=1e-12, atol=1e-15)
         assert dead_columns > 0
+
+
+class TestTopEigenvectors:
+    """The block Lanczos finds eigh's leading subspace, and the transfer cut
+    built on it gives eigh's labels."""
+
+    @pytest.mark.parametrize(
+        "n, ks, noise",
+        [
+            (200, np.rint(np.linspace(2, 15, 10)).astype(int), 0.0),  # n_c = 85
+            (1000, np.rint(np.linspace(2, 32, 30)).astype(int), 0.1),  # n_c = 510
+            (1500, np.rint(np.linspace(2, 39, 40)).astype(int), 0.0),  # n_c = 820
+        ],
+    )
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_eigh_subspace(self, n, ks, noise, k):
+        sym = normalized_cluster_graph(graph_from(blob_voronoi_view(n, ks, 3, noise), 0.4))
+        v = graphcut._top_eigenvectors(sym, k)
+        assert v.shape == (sym.shape[0], k)
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+        assert subspace_gap(v, np.linalg.eigh(sym)[1][:, -k:]) <= 1e-8
+
+    @pytest.mark.parametrize("columns", [8, 30])  # n_c 2 x 96 and 2 x 360
+    def test_two_components_double_eigenvalue_one(self, columns):
+        ks = np.rint(np.linspace(2, 22, columns)).astype(int)
+        halves = [blob_voronoi_view(500, ks, seed, 0.1).labels.labels for seed in (5, 6)]
+        arr = np.vstack([halves[0], halves[1] + halves[0].max(axis=0) + 1])
+        graph = graph_from(build_ensemble_view(LabelMatrix.from_array(arr)), 0.4)
+        assert _connected_components(graph).max() == 1
+        sym = normalized_cluster_graph(graph)
+        values, vectors = np.linalg.eigh(sym)
+        assert np.allclose(values[-2:], 1.0) and values[-3] < 1.0 - 1e-3
+        assert subspace_gap(graphcut._top_eigenvectors(sym, 3), vectors[:, -3:]) <= 1e-8
+
+    @pytest.mark.parametrize("size", [20, 250])  # n 60 and 750
+    def test_invariant_krylov_space_converges_without_eigh(self, monkeypatch, size):
+        # three equal blocks with all entries 1/size: eigenvalues 1 (three
+        # times) and 0, so two blocks of three span an invariant space
+        sym = np.kron(np.eye(3), np.full((size, size), 1.0 / size))
+        calls = full_eigh_calls(monkeypatch, sym.shape[0])
+        v = graphcut._top_eigenvectors(sym, 3)
+        assert calls == []
+        assert np.isfinite(v).all()
+        assert np.abs(sym @ v - v).max() <= 1e-12
+        indicators = np.kron(np.eye(3), np.ones((size, 1))) / np.sqrt(size)
+        assert subspace_gap(v, indicators) <= 1e-12
+
+    def test_rank_deficient_block(self, monkeypatch):
+        # eigenvalues 1, 0.9, 0.8, 0.7 and 0.3 (56 times): with blocks of
+        # three the Krylov space spans 3, 6, then 7 dimensions, so the third
+        # block adds one direction and its QR invents two
+        rng = np.random.default_rng(109)
+        u, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        values = np.concatenate([[1.0, 0.9, 0.8, 0.7], np.full(56, 0.3)])
+        sym = (u * values) @ u.T
+        sym = (sym + sym.T) / 2
+        calls = full_eigh_calls(monkeypatch, 60)
+        v = graphcut._top_eigenvectors(sym, 3)
+        assert calls == []
+        assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-12
+        assert subspace_gap(v, u[:, :3]) <= 1e-8
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_threshold_sizes(self, monkeypatch, offset):
+        n_c = graphcut.EIGH_MAX_CLUSTERS + offset
+        graph = graph_from(blob_voronoi_view(1000, spread_sizes(n_c), 8), 0.4)
+        assert int((graph.weights > 0).sum()) == n_c
+        sym = normalized_cluster_graph(graph)
+        u = np.linalg.eigh(sym)[1][:, -3:]
+        assert subspace_gap(graphcut._top_eigenvectors(sym, 3), u) <= 1e-8
+
+        krylov_sizes = []
+        top = graphcut._top_eigenvectors
+
+        def spy(a, k):
+            krylov_sizes.append(a.shape[0])
+            return top(a, k)
+
+        monkeypatch.setattr(graphcut, "_top_eigenvectors", spy)
+        tcut_partition(graph, 3, seed=0)
+        assert krylov_sizes == [n_c] * offset
+
+    def test_deterministic_bytes(self):
+        ks = np.rint(np.linspace(2, 39, 40)).astype(int)
+        sym = normalized_cluster_graph(graph_from(blob_voronoi_view(1500, ks, 4), 0.4))
+        first = graphcut._top_eigenvectors(sym, 3)
+        assert graphcut._top_eigenvectors(sym.copy(), 3).tobytes() == first.tobytes()
+
+    def test_wide_noisy_labels_match_full_eigh(self, monkeypatch):
+        # the benchmark's wide-noisy family: N = 1,000, M = 60 columns of
+        # 2..32 clusters, 10% label noise
+        ks = np.rint(np.linspace(2, 32, 60)).astype(int)
+        view = blob_voronoi_view(1000, ks, 10, noise=0.1)
+        assert view.n_clusters == 1020 > graphcut.EIGH_MAX_CLUSTERS
+        graph = graph_from(view, 0.4)
+        labels = {k: tcut_partition(graph, k, seed=0).labels for k in (2, 3, 5)}
+        monkeypatch.setattr(graphcut, "_embedding", ref.embedding_eigh_ref)
+        for k, got in labels.items():
+            assert np.array_equal(got, tcut_partition(graph, k, seed=0).labels)
 
 
 # lwgp labels of blob_view_m20 (seed 0) by (theta, k), recorded with the

@@ -266,6 +266,34 @@ class TestExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(k_policy="fixed")
 
+    def test_nan_theta_rejected(self):
+        with pytest.raises(ValueError, match="theta must be positive"):
+            ExperimentConfig(theta=float("nan"))
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"theta_grid": (0.4, -1.0)}, r"theta must be positive, got -1\.0"),
+            ({"theta_grid": (float("nan"),)}, "theta must be positive, got nan"),
+            ({"m_grid": (5, 500)}, r"ensemble size must be in \[1, 100\], got 500"),
+            ({"m_grid": (0,)}, r"ensemble size must be in \[1, 100\], got 0"),
+        ],
+    )
+    def test_bad_sweep_grid_fails_before_any_kmeans(self, monkeypatch, blobs, grid, message):
+        import lwec.harness as harness
+
+        calls = []
+
+        def counting_kmeans(*args, **kwargs):
+            calls.append(args)
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "kmeans", counting_kmeans)
+        x, y = blobs
+        with pytest.raises(ValueError, match=message):
+            run_experiment(x, y, ExperimentConfig(runs=1, seed=3, **grid))
+        assert calls == []
+
     def test_truth_length_checked(self, blobs):
         x, _ = blobs
         config = ExperimentConfig(pool_size=4, ensemble_size=2, runs=1, seed=0)

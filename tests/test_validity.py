@@ -271,6 +271,16 @@ class TestAnnotateValidity:
         with pytest.raises(ValueError):
             annotate_validity(worked_view, theta=0.0)
 
+    def test_rejects_nan_theta(self, worked_view):
+        with pytest.raises(ValueError, match="theta must be positive, got nan"):
+            annotate_validity(worked_view, theta=math.nan)
+        with pytest.raises(ValueError, match="theta must be positive, got nan"):
+            eci(1.0, math.nan, 3)
+
+    def test_infinite_theta_gives_unit_weights(self, worked_view):
+        assert (annotate_validity(worked_view, theta=math.inf).eci == 1.0).all()
+        assert eci(2.5, math.inf, 3) == 1.0
+
     def test_csv_export(self, worked_view, tmp_path):
         report = annotate_validity(worked_view, theta=0.5)
         out = tmp_path / "validity.csv"
