@@ -142,11 +142,15 @@ def sqrt_k_ceiling(n: int) -> int:
     return int(math.ceil(math.sqrt(n)))
 
 
-def generate_pool(features: np.ndarray, config: ExperimentConfig) -> list[np.ndarray]:
+def generate_pool(
+    features: np.ndarray, config: ExperimentConfig, members: Iterable[int] | None = None
+) -> list[np.ndarray | None]:
     """Candidate base clusterings: k-means runs with k uniform in [2, ceil(sqrt(N))].
 
     Member t uses the derived seed (seed, 0, t); the k values come from the
     master stream (seed, 0), so the same master seed always yields the same pool.
+    Every member is clustered unless `members` names the ones wanted; the
+    others are then None, and each named member is the one the full pool holds.
     """
     x = validate_features(features)
     n = x.shape[0]
@@ -155,18 +159,23 @@ def generate_pool(features: np.ndarray, config: ExperimentConfig) -> list[np.nda
     k_max = sqrt_k_ceiling(n)
     master = np.random.Generator(np.random.PCG64(_subseed(config.seed, 0)))
     ks = master.integers(2, k_max + 1, size=config.pool_size)
+    wanted = range(config.pool_size) if members is None else set(members)
     return [
-        kmeans(x, int(ks[t]), seed=_subseed(config.seed, 0, t))
+        kmeans(x, int(ks[t]), seed=_subseed(config.seed, 0, t)) if t in wanted else None
         for t in range(config.pool_size)
     ]
 
 
+def _draw_members(pool_size: int, m: int, seed) -> np.ndarray:
+    if not 1 <= m <= pool_size:
+        raise ValueError(f"ensemble size must be in [1, {pool_size}], got {m}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.choice(pool_size, size=m, replace=False)
+
+
 def draw_ensemble(pool: list[np.ndarray], m: int, seed=0) -> LabelMatrix:
     """Select m distinct pool members uniformly without replacement, column-wise."""
-    if not 1 <= m <= len(pool):
-        raise ValueError(f"ensemble size must be in [1, {len(pool)}], got {m}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    chosen = rng.choice(len(pool), size=m, replace=False)
+    chosen = _draw_members(len(pool), m, seed)
     return LabelMatrix.from_array(np.column_stack([pool[int(i)] for i in chosen]))
 
 
@@ -297,13 +306,21 @@ def run_experiment(features, truth, config: ExperimentConfig) -> ExperimentRepor
 
     Each run draws a fresh ensemble from one shared pool, scores the consensus
     methods and every base clustering in the draw against the ground truth,
-    and (for the sweeps) re-scores the same draws at each grid point.
+    and (for the sweeps) re-scores the same draws at each grid point; a theta
+    grid point equal to an already scored theta reuses its scores. The draws
+    depend only on their seeds, so they are made first and k-means runs only
+    for the pool members some draw picks, once each.
     """
     x = validate_features(features)
     truth = np.asarray(truth)
     if truth.shape != (x.shape[0],):
         raise ValueError("ground truth length must match the feature matrix")
-    pool = generate_pool(x, config)
+    draws = [(config.ensemble_size, _subseed(config.seed, 1, r)) for r in range(config.runs)]
+    draws += [
+        (m, _subseed(config.seed, 3, m, r)) for m in config.m_grid or () for r in range(config.runs)
+    ]
+    drawn = {int(t) for m, s in draws for t in _draw_members(config.pool_size, m, s)}
+    pool = generate_pool(x, config, members=drawn)
     k = _consensus_k(truth, config)
     best_k = config.k_policy == "best-k"
 
@@ -329,15 +346,18 @@ def run_experiment(features, truth, config: ExperimentConfig) -> ExperimentRepor
     )
 
     if config.theta_grid:
+        by_theta = {config.theta: {m: method_runs[m] for m in ("lwea", "lwgp")}}
         for theta in config.theta_grid:
-            per_method: dict[str, list[float]] = {"lwea": [], "lwgp": []}
-            for r, view in enumerate(views):
-                scores = _score_methods(
-                    view, truth, k, theta, _subseed(config.seed, 2, r), best_k, with_eac=False
-                )
-                per_method["lwea"].append(scores["lwea"])
-                per_method["lwgp"].append(scores["lwgp"])
-            for method, vals in per_method.items():
+            if theta not in by_theta:
+                per_method: dict[str, list[float]] = {"lwea": [], "lwgp": []}
+                for r, view in enumerate(views):
+                    scores = _score_methods(
+                        view, truth, k, theta, _subseed(config.seed, 2, r), best_k, with_eac=False
+                    )
+                    per_method["lwea"].append(scores["lwea"])
+                    per_method["lwgp"].append(scores["lwgp"])
+                by_theta[theta] = per_method
+            for method, vals in by_theta[theta].items():
                 report.sweep_rows.append(SweepRow(method, "theta", theta, np.asarray(vals)))
 
     if config.m_grid:

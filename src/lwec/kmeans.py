@@ -3,6 +3,15 @@
 Randomness comes from a PCG64 stream, so results are reproducible across
 platforms for a fixed seed. Initialization samples points proportionally to
 squared distance from the chosen centers via inverse-transform sampling.
+
+A Lloyd step adds its terms in a fixed order that equals numpy's own
+reductions, so its labels, centers and objective are bit for bit those of
+the per-cluster `mean(axis=0)` and the n x k x d `.sum(axis=2)` it replaces.
+A centroid sums its members' coordinates in row order, one `bincount` per
+column, as `mean(axis=0)` does down the rows of a 2-D selection; a squared
+distance adds the d per-column terms left to right, as numpy does for fewer
+than 8 contiguous terms. Where numpy sums pairwise instead (a one-column
+mean, and distances over d >= 8 columns), the step keeps numpy's expression.
 """
 
 from __future__ import annotations
@@ -13,10 +22,29 @@ __all__ = ["kmeans"]
 
 MAX_ITER = 100
 SHIFT_TOL = 1e-6
+PAIRWISE_MIN_D = 8
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d = points.shape[1]
+    if d >= PAIRWISE_MIN_D:
+        # numpy sums 8 or more contiguous terms pairwise: keep its expression and bits
+        return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = (points[:, :1] - centers[:, 0]) ** 2
+    for j in range(1, d):
+        d2 += (points[:, j : j + 1] - centers[:, j]) ** 2
+    return d2
+
+
+def _centroids(x: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    k, d = counts.size, x.shape[1]
+    if d == 1:
+        # numpy sums one contiguous column pairwise: keep its expression and bits
+        return np.array([x[labels == c].mean(axis=0) for c in range(k)])
+    sums = np.empty((k, d))
+    for j in range(d):
+        sums[:, j] = np.bincount(labels, weights=x[:, j], minlength=k)
+    return sums / counts[:, None]
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -41,6 +69,10 @@ def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
     n = x.shape[0]
+    if x.shape[1] < 1:
+        raise ValueError(f"feature matrix needs at least one column, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("feature matrix contains non-finite values")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -66,9 +98,7 @@ def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np
                 counts[empty] += 1
                 labels[farthest] = empty
                 assigned[farthest] = -1.0
-        new_centers = np.empty_like(centers)
-        for c in range(k):
-            new_centers[c] = x[labels == c].mean(axis=0)
+        new_centers = _centroids(x, labels, counts)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < SHIFT_TOL:

@@ -412,9 +412,9 @@ def refine_partition_loop_ref(
 
 
 # ---------------------------------------------------------------------------
-# the row-by-row label-matrix parser, the N x N co-association accumulation and
-# the full-eigh embedding that lwec replaced; kept to check the replacements
-# exactly
+# the row-by-row label-matrix parser, the N x N co-association accumulation,
+# the full-eigh embedding and the per-cluster k-means step with its eager pool
+# that lwec replaced; kept to check the replacements exactly
 
 
 def parse_label_matrix_loop_ref(source):
@@ -482,3 +482,84 @@ def embedding_eigh_ref(edges, k: int) -> np.ndarray:
     norms = np.linalg.norm(f_obj, axis=1)
     norms[norms == 0] = 1.0
     return f_obj / norms[:, None]
+
+
+def _squared_distances_ref(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _plusplus_init_ref(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(k - 1):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def lloyd_ref(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """`lwec.kmeans._lloyd` before the vectorised step, verbatim: an n x k x d
+    distance array and one `mean` per cluster. Returns (labels, centers,
+    per-iteration objective, repairs)."""
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("feature matrix must be 2-D")
+    n = x.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centers = _plusplus_init_ref(x, k, rng)
+    labels = np.zeros(n, dtype=np.int64)
+    objective: list[float] = []
+    repairs = 0
+    for _ in range(100):
+        d2 = _squared_distances_ref(x, centers)
+        labels = d2.argmin(axis=1)
+        objective.append(float(d2[np.arange(n), labels].sum()))
+        # re-seed empty clusters from the point farthest from its centroid,
+        # never stealing the sole member of another cluster
+        counts = np.bincount(labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            repairs += 1
+            assigned = d2[np.arange(n), labels].copy()
+            for empty in empties:
+                eligible = np.where(counts[labels] > 1, assigned, -1.0)
+                farthest = int(np.argmax(eligible))
+                counts[labels[farthest]] -= 1
+                counts[empty] += 1
+                labels[farthest] = empty
+                assigned[farthest] = -1.0
+        new_centers = np.empty_like(centers)
+        for c in range(k):
+            new_centers[c] = x[labels == c].mean(axis=0)
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < 1e-6:
+            break
+    return labels, centers, np.asarray(objective), repairs
+
+
+def generate_pool_ref(features: np.ndarray, config) -> list[np.ndarray]:
+    """`lwec.generate_pool` before it could skip members, verbatim: every
+    member clustered by `lloyd_ref`."""
+    from lwec.harness import _subseed, sqrt_k_ceiling, validate_features
+
+    x = validate_features(features)
+    n = x.shape[0]
+    if n < 4:
+        raise ValueError(f"need at least 4 objects to draw k from [2, ceil(sqrt(N))], got {n}")
+    k_max = sqrt_k_ceiling(n)
+    master = np.random.Generator(np.random.PCG64(_subseed(config.seed, 0)))
+    ks = master.integers(2, k_max + 1, size=config.pool_size)
+    return [
+        lloyd_ref(x, int(ks[t]), seed=_subseed(config.seed, 0, t))[0]
+        for t in range(config.pool_size)
+    ]

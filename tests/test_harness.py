@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lwec import (
     ExperimentConfig,
     build_ca,
+    build_lwca,
     draw_ensemble,
     generate_pool,
     kmeans,
@@ -71,6 +72,64 @@ class TestKmeans:
             labels = kmeans(x, k, seed=trial)
             assert np.unique(labels).size == k
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.random.default_rng(3).normal(size=(20, 2))
+        x[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kmeans(x, 3, seed=0)
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            kmeans(np.zeros((5, 0)), 2, seed=0)
+
+
+@st.composite
+def lloyd_cases(draw):
+    """(points, k, seed): d in 1..10, k anywhere in [1, n], with plain normal
+    coordinates, coordinates rounded to 0.1 (ties), or a few distinct rounded
+    rows repeated (duplicates, which force empty-cluster repairs)."""
+    d = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 80))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    layout = draw(st.sampled_from(("normal", "rounded", "duplicates")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * 3
+    if layout == "rounded":
+        x = np.round(x, 1)
+    elif layout == "duplicates":
+        x = np.round(x[rng.integers(0, max(1, n // 4), size=n)], 1)
+    return x, k, seed
+
+
+def assert_lloyd_matches_ref(x, k, seed):
+    labels, centers, objective, repairs = _lloyd(x, k, seed)
+    want = ref.lloyd_ref(x, k, seed)
+    assert np.array_equal(labels, want[0])
+    assert centers.tobytes() == want[1].tobytes()
+    assert objective.tobytes() == want[2].tobytes()
+    assert repairs == want[3]
+
+
+class TestLloydExact:
+    """The vectorised Lloyd step gives the per-cluster `mean` step's bits."""
+
+    @given(lloyd_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        assert_lloyd_matches_ref(*case)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_reference_on_fixed_corpus(self, d):
+        # clusters of 8 or more members in one column and distances over 8 or
+        # more columns are where numpy's pairwise sums differ from a left-to-right one
+        rng = np.random.default_rng(100 + d)
+        for trial in range(12):
+            n = int(rng.integers(30, 150))
+            x = rng.normal(size=(n, d)) * 10 ** rng.uniform(-2, 2)
+            assert_lloyd_matches_ref(x, int(rng.integers(1, 9)), trial)
+
 
 @pytest.fixture(scope="module")
 def features():
@@ -102,6 +161,18 @@ class TestPool:
         config = ExperimentConfig(pool_size=5, ensemble_size=2, seed=0)
         with pytest.raises(ValueError, match="at least 4"):
             generate_pool(np.zeros((3, 2)), config)
+
+    def test_named_members_equal_reference_pool(self, features):
+        config = ExperimentConfig(pool_size=12, ensemble_size=4, seed=6)
+        want = ref.generate_pool_ref(features, config)
+        full = generate_pool(features, config)
+        part = generate_pool(features, config, members=[9, 2, 2, 5])
+        assert all(np.array_equal(a, b) for a, b in zip(full, want))
+        for t, member in enumerate(part):
+            if t in (2, 5, 9):
+                assert np.array_equal(member, want[t])
+            else:
+                assert member is None
 
     def test_draw_whole_pool(self, features):
         config = ExperimentConfig(pool_size=8, ensemble_size=8, seed=1)
@@ -227,6 +298,72 @@ class TestExperiment:
             "lwea,theta,1,2,0.715215,0.023959\n"
             "lwgp,theta,1,2,0.665732,0.025524\n"
         )
+
+    def test_theta_grid_scores_each_theta_once(self, monkeypatch, blobs):
+        import lwec.harness as harness
+
+        calls = []
+
+        def counting_build_lwca(view, report):
+            calls.append(report)
+            return build_lwca(view, report)
+
+        monkeypatch.setattr(harness, "build_lwca", counting_build_lwca)
+        x, y = blobs
+        grid = (0.2, 0.4, 1.0, 0.2)
+        config = ExperimentConfig(pool_size=10, ensemble_size=4, runs=2, seed=23, theta_grid=grid)
+        report = run_experiment(x, y, config)
+        assert len(calls) == config.runs * len({config.theta, *grid})
+        rows = [r for r in report.rows() if r.parameter == "theta"]
+        assert [r.value for r in rows[4:]] == [0.2, 0.2, 0.4, 0.4, 1.0, 1.0, 0.2, 0.2]
+        for method in ("lwea", "lwgp"):
+            by_value = {}
+            for r in rows:
+                if r.method == method:
+                    by_value.setdefault(r.value, []).append(r.per_run)
+            for per_run in by_value.values():
+                assert all(np.array_equal(per_run[0], other) for other in per_run[1:])
+
+    def test_kmeans_runs_once_per_drawn_member(self, monkeypatch, blobs):
+        import lwec.harness as harness
+
+        calls = []
+
+        def counting_kmeans(x, k, seed):
+            calls.append(seed.entropy[2])
+            return kmeans(x, k, seed=seed)
+
+        monkeypatch.setattr(harness, "kmeans", counting_kmeans)
+        x, y = blobs
+        config = ExperimentConfig(pool_size=40, ensemble_size=3, runs=2, seed=17, m_grid=(2, 4))
+        run_experiment(x, y, config)
+        draws = [(config.ensemble_size, (config.seed, 1, r)) for r in range(config.runs)]
+        draws += [(m, (config.seed, 3, m, r)) for m in config.m_grid for r in range(config.runs)]
+        drawn: list[int] = []
+        for m, path in draws:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(path)))
+            drawn += rng.choice(config.pool_size, size=m, replace=False).tolist()
+        # some member is drawn twice and some never, so both the memo and the skip are tested
+        assert len(set(drawn)) < min(len(drawn), config.pool_size)
+        assert sorted(calls) == sorted(set(drawn))
+
+    @pytest.mark.parametrize("k_policy", ["true-k", "best-k"])
+    def test_report_equals_one_from_reference_pool(self, monkeypatch, blobs, k_policy):
+        import lwec.harness as harness
+
+        x, y = blobs
+        config = ExperimentConfig(
+            pool_size=30, ensemble_size=5, runs=2, seed=41, k_policy=k_policy,
+            theta_grid=(0.2, 0.4), m_grid=(3, 8),
+        )
+        out = io.StringIO()
+        run_experiment(x, y, config).to_csv(out)
+        monkeypatch.setattr(
+            harness, "generate_pool", lambda features, cfg, members=None: ref.generate_pool_ref(features, cfg)
+        )
+        want = io.StringIO()
+        run_experiment(x, y, config).to_csv(want)
+        assert out.getvalue() == want.getvalue()
 
     def test_m_grid_rows(self, blobs):
         x, y = blobs
