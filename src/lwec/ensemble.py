@@ -189,39 +189,45 @@ def parse_label_matrix(source: str | IO[str] | Iterable[str]) -> LabelMatrix:
     """Parse the label-matrix wire format.
 
     Comma-separated integers, one row per object, one column per base
-    clustering. An optional single header row starting with '#' may precede
-    the data; blank lines are ignored. Raises ValueError on ragged rows,
-    non-integer or negative cells, or empty input. A column with a single
-    distinct label is accepted but flagged with DegenerateClusteringWarning.
+    clustering; an optional single leading '#' header row and blank lines are
+    skipped, as in every lwec file. Raises ValueError on empty input, or naming
+    the first bad line: a later '#' row, a ragged row, a non-integer or negative
+    cell. A single-label column is accepted but flagged with DegenerateClusteringWarning.
     """
+    return LabelMatrix.from_array(_parse_table(source, int, "label matrix"))
+
+
+def _parse_table(source: str | IO[str] | Iterable[str], cast: type, what: str, width: int = 0) -> np.ndarray:
+    """A table of `parse_label_matrix`'s format as a 2-D array of `cast` (int or
+    float) cells, int cells non-negative; `width` cells a row, or the first row's."""
     lines = enumerate(_read_text(source).splitlines(), start=1)
     numbered = [(lineno, row) for lineno, line in lines if (row := line.strip())]
     if numbered and numbered[0][1].startswith("#"):
         numbered = numbered[1:]
     if not numbered:
-        raise ValueError("empty label matrix")
+        raise ValueError(f"empty {what}")
     rows = [row for _, row in numbered]
-    width = rows[0].count(",") + 1
-    # one int() pass over every cell; a '#' row fails it, and int() ignores
-    # the whitespace around a cell
+    width = width or rows[0].count(",") + 1
+    # one cast pass over every cell; a '#' row fails it, and int() and
+    # float() ignore the whitespace around a cell
     try:
-        values = list(map(int, ",".join(rows).split(",")))
+        values = list(map(cast, ",".join(rows).split(",")))
     except ValueError:
         values = None
-    if values is None or min(values) < 0 or any(row.count(",") != width - 1 for row in rows):
-        raise ValueError(next(filter(None, (_row_error(lineno, row, width) for lineno, row in numbered))))
-    return LabelMatrix.from_array(np.asarray(values, dtype=np.int64).reshape(len(rows), width))
+    if values is None or (cast is int and min(values) < 0) or any(row.count(",") != width - 1 for row in rows):
+        raise ValueError(next(filter(None, (_row_error(lineno, row, cast, width) for lineno, row in numbered))))
+    return np.asarray(values, dtype=np.int64 if cast is int else np.float64).reshape(len(rows), width)
 
 
-def _row_error(lineno: int, row: str, width: int) -> str | None:
-    """What is wrong with one stripped data row of a label matrix, if anything."""
+def _row_error(lineno: int, row: str, cast: type, width: int) -> str | None:
+    """What is wrong with one stripped data row of a table, if anything."""
     if row.startswith("#"):
         return f"line {lineno}: unexpected '#' row (only a single leading header is allowed)"
     try:
-        values = [int(cell) for cell in row.split(",")]
+        values = [cast(cell) for cell in row.split(",")]
     except ValueError:
-        return f"line {lineno}: non-integer cell in {row!r}"
-    if min(values) < 0:
+        return f"line {lineno}: non-{'integer' if cast is int else 'numeric'} cell in {row!r}"
+    if cast is int and min(values) < 0:
         return f"line {lineno}: negative cluster label"
     if len(values) != width:
         return f"line {lineno}: ragged rows ({len(values)} cells, expected {width})"
@@ -236,18 +242,7 @@ def write_label_matrix(matrix: LabelMatrix, out: str | IO[str]) -> None:
 
 def read_labels(source: str | IO[str] | Iterable[str]) -> np.ndarray:
     """Read a single-column label file: one non-negative integer per line."""
-    values: list[int] = []
-    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            values.append(int(stripped))
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer label {stripped!r}") from None
-    if not values:
-        raise ValueError("empty label file")
-    return np.asarray(values, dtype=np.int64)
+    return _parse_table(source, int, "label file", width=1).ravel()
 
 
 def write_labels(labels: np.ndarray, out: str | IO[str]) -> None:

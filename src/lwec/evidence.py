@@ -17,7 +17,6 @@ from .ensemble import ConsensusResult, EnsembleView, relabel_first_appearance
 from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
 
 __all__ = [
-    "MergeEvent",
     "Dendrogram",
     "build_dendrogram",
     "cut_dendrogram",
@@ -27,19 +26,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MergeEvent:
-    left: int
-    right: int
-    new_id: int
-    similarity: float
-
-
-@dataclass(frozen=True)
 class Dendrogram:
-    """N-1 merge events over regions; leaves are 0..N-1, merges create N..2N-2."""
+    """N-1 merges over regions; leaves are 0..N-1, merges create N..2N-2.
+
+    `merges` is a read-only record array with fields left, right, new_id
+    (int64) and similarity (float64): merge t joins regions left and right
+    into new_id = N + t, in merge order.
+    """
 
     n_leaves: int
-    merges: tuple[MergeEvent, ...]
+    merges: np.recarray
 
 
 def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
@@ -97,7 +93,11 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
         raise ValueError("need at least two objects to build a dendrogram")
     leaf = np.arange(n) if matrix.leaf is None else np.asarray(matrix.leaf)
     values = np.asarray(matrix.values, dtype=np.float64)
-    return Dendrogram(n_leaves=n, merges=tuple(_agglomerate(values, leaf, {})))
+    merges = np.rec.array(
+        _agglomerate(values, leaf, {}), formats="i8,i8,i8,f8", names="left,right,new_id,similarity"
+    )
+    merges.flags.writeable = False
+    return Dendrogram(n_leaves=n, merges=merges)
 
 
 def _average(sa, va, sb, vb):
@@ -105,10 +105,10 @@ def _average(sa, va, sb, vb):
     return (sa * va + sb * vb) / (sa + sb)
 
 
-def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, float]], float, float]:
-    """Merges (left, right, similarity) of c objects at mutual similarity s
-    (leaves 0..c-1; merge t creates c + t) and the lowest and highest live
-    value that loop holds, memoised."""
+def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, float]], float, float]:
+    """Merges (left, right, new_id, similarity) of c objects at mutual
+    similarity s (leaves 0..c-1; merge t creates c + t) and the lowest and
+    highest live value that loop holds, memoised."""
     if (c, s) not in memo:
         # members 0..k-1, once merged, are at similarity v from each later
         # member; while v >= s they take the next member in turn: a chain
@@ -119,19 +119,19 @@ def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, float]], 
                 break
             sims.append(v)
         if len(sims) == c - 1:
-            memo[c, s] = [(c + t - 1 if t else 0, t + 1, sim) for t, sim in enumerate(sims)], min(sims), max(sims)
+            chain = [(c + t - 1 if t else 0, t + 1, c + t, sim) for t, sim in enumerate(sims)]
+            memo[c, s] = chain, min(sims), max(sims)
         else:
             window = [s, s]
-            merges = _agglomerate(np.full((c, c), s), np.arange(c), memo, window)
-            memo[c, s] = [(e.left, e.right, e.similarity) for e in merges], window[0], window[1]
+            memo[c, s] = _agglomerate(np.full((c, c), s), np.arange(c), memo, window), window[0], window[1]
     return memo[c, s]
 
 
-def _replay(events: list[tuple[int, int, float]], c: int, row: np.ndarray) -> np.ndarray:
+def _replay(events: list[tuple[int, int, int, float]], c: int, row: np.ndarray) -> np.ndarray:
     """Row of a completed group: its intra merges' recurrence applied
     elementwise to the row its c members share."""
     vectors, sizes = [row] * c, [1] * c
-    for left, right, _ in events:
+    for left, right, _, _ in events:
         # two members average to their own row, (r + r) / 2 = r exactly
         pair = sizes[left] == sizes[right] == 1
         vectors.append(row if pair else _average(sizes[left], vectors[left], sizes[right], vectors[right]))
@@ -165,9 +165,9 @@ def _compressed(values: np.ndarray, groups: np.ndarray, lo: np.ndarray, hi: np.n
 
 def _agglomerate(
     values: np.ndarray, leaf: np.ndarray, memo: dict, window: list | None = None
-) -> list[MergeEvent]:
-    """The merges of `build_dendrogram`; `window`, if given, is widened to
-    every live value the loop holds."""
+) -> list[tuple[int, int, int, float]]:
+    """The merges (left, right, new_id, similarity) of `build_dendrogram`;
+    `window`, if given, is widened to every live value the loop holds."""
     n = leaf.size
     counts = np.bincount(leaf, minlength=values.shape[0])
     order = np.argsort(leaf, kind="stable")
@@ -197,7 +197,7 @@ def _agglomerate(
     rowarg = np.argmax(work, axis=1)
     rowmax = work[np.arange(s), rowarg]
     off = np.zeros(s)  # -inf at dead slots
-    merges: list[MergeEvent] = []
+    merges: list[tuple[int, int, int, float]] = []
     q = 0
     while len(merges) < n - 1:
         # slot r always holds the region whose smallest member is slot_obj[r],
@@ -210,7 +210,7 @@ def _agglomerate(
             events = intra[t][0]
             g, base = groups[t], n + len(merges)
             ids = order[starts[g] : starts[g] + counts[g]].tolist() + list(range(base, base + len(events)))
-            merges.extend(MergeEvent(ids[a], ids[b], base + e, sim) for e, (a, b, sim) in enumerate(events))
+            merges.extend((ids[a], ids[b], ids[e], sim) for a, b, e, sim in events)
             region[i] = ids[-1]
             if len(events) == 1:
                 continue  # a pair replays to its own row: nothing changes
@@ -218,13 +218,13 @@ def _agglomerate(
             j = i
         else:
             j = int(rowarg[i])
-            merges.append(MergeEvent(region[i], region[j], n + len(merges), float(work[i, j])))
+            merges.append((region[i], region[j], n + len(merges), float(work[i, j])))
             off[j] = -np.inf
             rowmax[j] = -np.inf
             rowarg[j] = -1
             merged = _average(size[i], work[i], size[j], work[j])
             size[i] += size[j]
-            region[i] = merges[-1].new_id
+            region[i] = merges[-1][2]
         # dead slots' columns are stale in `work`; merged[i] is -inf as work[i, i] is
         merged += off
         if window is not None:
@@ -248,21 +248,23 @@ def _agglomerate(
     return merges
 
 
-def cut_dendrogram(dendrogram: Dendrogram, k: int, method: str = "average-link") -> ConsensusResult:
+def cut_dendrogram(dendrogram: Dendrogram, k: int) -> ConsensusResult:
     """Undo the last k-1 merges: the regions left after N-k merges become the clusters.
 
-    Labels are assigned 0..k-1 in order of each cluster's smallest member.
+    Labels are assigned 0..k-1 in order of each cluster's smallest member;
+    the result's method is "average-link".
     """
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    # every region is a child of at most one merge, so each parent is set once
+    done = dendrogram.merges[: n - k]
     parent = np.arange(2 * n - 1)
-    for event in dendrogram.merges[: n - k]:
-        parent[event.left] = event.new_id
-        parent[event.right] = event.new_id
+    parent[done.left] = done.new_id
+    parent[done.right] = done.new_id
     while not np.array_equal(parent[parent], parent):
         parent = parent[parent]  # pointer jumping: every node ends at its root
-    return ConsensusResult(labels=relabel_first_appearance(parent[:n]), k=k, method=method)
+    return ConsensusResult(labels=relabel_first_appearance(parent[:n]), k=k, method="average-link")
 
 
 def lwea(

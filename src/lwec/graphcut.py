@@ -72,16 +72,6 @@ class BipartiteGraph:
     def n_clusters(self) -> int:
         return self.weights.size
 
-    def affinity(self) -> np.ndarray:
-        """Dense N x n_c edge-weight matrix (zero where no edge), zero-weight clusters left out."""
-        keep = self.weights > 0
-        column = np.cumsum(keep) - 1
-        objects, cells = np.nonzero(keep[self.cluster_ids])
-        clusters = self.cluster_ids[objects, cells]
-        b = np.zeros((self.n_objects, int(column[-1]) + 1))
-        b[objects, column[clusters]] = self.weights[clusters]
-        return b
-
 
 def _require_live_edges(cluster_ids: np.ndarray, weights: np.ndarray, advice: str = "") -> None:
     """Raise ValueError naming the first object whose clusters all weigh 0."""
@@ -446,8 +436,11 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     raw = kmeans(_embedding(edges, k), k, seed=seed)
     refined, value = _refine_partition(edges, raw, k)
     if k**nc <= INDUCED_SEARCH_LIMIT:
-        b = graph.affinity()
-        induced = _best_induced_partition(b / b.max(), k)
+        # the dense N x n_c affinity, scaled; dead edges (weight 0) are left out
+        objects, cells = np.nonzero(edges.weights)
+        b = np.zeros((n, nc))
+        b[objects, edges.columns[objects, cells]] = edges.weights[objects, cells]
+        induced = _best_induced_partition(b, k)
         # a start that leaves a segment without objects has no finite cut value
         if induced is not None and np.bincount(induced, minlength=k).all():
             alt, alt_value = _refine_partition(edges, induced, k)

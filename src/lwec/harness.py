@@ -14,7 +14,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .ensemble import EnsembleView, LabelMatrix, _read_text, _write_text, build_ensemble_view
+from .ensemble import EnsembleView, LabelMatrix, _parse_table, _write_text, build_ensemble_view
 from .evidence import build_dendrogram, cut_dendrogram, eac, lwea
 from .coassoc import build_lwca, build_ca
 from .graphcut import lwgp
@@ -50,25 +50,8 @@ def validate_features(features) -> np.ndarray:
 
 
 def read_features(source: str | IO[str] | Iterable[str]) -> np.ndarray:
-    """Read a CSV of reals, one row per object; '#' header and blank lines skipped."""
-    rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            values = [float(cell) for cell in stripped.split(",")]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric cell in {stripped!r}") from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(f"line {lineno}: ragged rows ({len(values)} cells, expected {width})")
-        rows.append(values)
-    if not rows:
-        raise ValueError("empty feature file")
-    return validate_features(np.asarray(rows))
+    """Read a CSV of reals, one row per object, in `parse_label_matrix`'s table format."""
+    return validate_features(_parse_table(source, float, "feature file"))
 
 
 def write_features(features: np.ndarray, out: str | IO[str]) -> None:

@@ -263,6 +263,18 @@ def components_ref(labels: np.ndarray) -> np.ndarray:
 # normalized cut on the object-cluster bipartite graph
 
 
+def affinity_ref(graph) -> np.ndarray:
+    """Dense N x n_c edge-weight matrix of a `BipartiteGraph` (zero where no
+    edge), zero-weight clusters left out: the input of the cut oracles below."""
+    keep = graph.weights > 0
+    column = np.cumsum(keep) - 1
+    objects, cells = np.nonzero(keep[graph.cluster_ids])
+    clusters = graph.cluster_ids[objects, cells]
+    b = np.zeros((graph.n_objects, int(column[-1]) + 1))
+    b[objects, column[clusters]] = graph.weights[clusters]
+    return b
+
+
 def ncut_value(affinity: np.ndarray, obj_labels, cl_labels, k: int) -> float:
     """Normalized cut of a k-way partition of all nodes; inf on empty volume."""
     b = np.asarray(affinity, dtype=np.float64)

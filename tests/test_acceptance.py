@@ -154,7 +154,7 @@ class TestCriterion4Oracles:
             graph = build_lwbg(view, report)
             if min(view.n_objects, view.n_clusters) < 2:
                 continue
-            b = graph.affinity()
+            b = ref.affinity_ref(graph)
             b = b / b.max()
             result = tcut_partition(graph, 2, seed=int(rng.integers(1000)))
             achieved = ref.best_completion_ncut(b, result.labels, 2)

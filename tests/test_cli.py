@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,42 @@ class TestEvalCommand:
         )
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    """A malformed input file exits 1 with one `error:` line naming its fault."""
+
+    def fails_with(self, capsys, args, message):
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1 and re.match(f"error: {message}", err), err
+
+    @pytest.mark.parametrize("rows, message", [
+        (("# late", "0"), "line 3: unexpected '#' row"),
+        (("-1",), "line 3: negative cluster label"),
+        (("1,1",), r"line 3: ragged rows \(2 cells, expected 1\)"),
+    ])
+    def test_eval_pred_row(self, data_dir, tmp_path, capsys, rows, message):
+        # the faulty rows replace line 3 of a prediction as long as the truth
+        truth = (data_dir / "truth.txt").read_text().splitlines()
+        pred = tmp_path / "pred.txt"
+        pred.write_text("\n".join(truth[:2] + list(rows) + truth[3:]) + "\n")
+        self.fails_with(capsys, ["eval", "--pred", pred, "--truth", data_dir / "truth.txt"], message)
+
+    def test_eval_header_only_pred(self, data_dir, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("# labels\n")
+        self.fails_with(capsys, ["eval", "--pred", pred, "--truth", data_dir / "truth.txt"], "empty label file")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{0}\n{1}\n# late\n{2}\n", "line 3: unexpected '#' row"),
+        ("# x,y\n", "empty feature file"),
+    ])
+    def test_pool_features(self, data_dir, tmp_path, capsys, text, message):
+        rows = (data_dir / "features.csv").read_text().splitlines()
+        features = tmp_path / "features.csv"
+        features.write_text(text.format(*rows[:2], "\n".join(rows[2:])))
+        self.fails_with(capsys, ["pool", "--features", features, "--out", tmp_path / "pool.csv"], message)
 
 
 class TestSweepCommand:

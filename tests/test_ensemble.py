@@ -187,6 +187,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="non-integer"):
             read_labels("1\nx\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0\n1\n# late\n1\n", "^line 3: unexpected '#' row"),
+        ("# header\n0\n\n-1\n", "^line 4: negative cluster label$"),
+        ("0\n1,1\n", r"^line 2: ragged rows \(2 cells, expected 1\)$"),
+        ("# header only\n", "^empty label file$"),
+    ])
+    def test_read_labels_names_the_bad_line(self, text, message):
+        # one table rule for every file: only a leading '#' row, no negative labels
+        with pytest.raises(ValueError, match=message):
+            read_labels(text)
+
 
 class TestConsensusResult:
     def test_valid_result(self):

@@ -456,6 +456,16 @@ class TestFeatureIo:
         with pytest.raises(ValueError, match="empty"):
             read_features("# header only\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0\n3.0,4.0\n# late\n", "^line 3: unexpected '#' row"),
+        ("# x,y\n\n1.0,2.0\n# late\n3.0,4.0\n", "^line 4: unexpected '#' row"),
+        ("1.0,2.0\n3.0,x\n", r"^line 2: non-numeric cell in '3.0,x'$"),
+    ])
+    def test_read_features_names_the_bad_line(self, text, message):
+        # one table rule for every file: only a leading '#' row
+        with pytest.raises(ValueError, match=message):
+            read_features(text)
+
     def test_blob_generator_deterministic(self):
         a = make_gaussian_blobs(21, [[0, 0], [5, 5]], spread=0.3, seed=6)
         b = make_gaussian_blobs(21, [[0, 0], [5, 5]], spread=0.3, seed=6)
