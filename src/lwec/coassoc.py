@@ -23,6 +23,13 @@ from .validity import ValidityReport
 
 __all__ = ["CoassocMatrix", "build_ca", "build_lwca", "write_lower_triangle"]
 
+# rows per block of the triangle mirror: its one temporary is MIRROR_BLOCK x p
+MIRROR_BLOCK = 64
+
+# at most this many cells per scatter call, which bounds its temporaries
+# (8 MiB each) when a cluster spans thousands of rows
+SCATTER_PAIRS = 1 << 20
+
 
 @dataclass(frozen=True)
 class CoassocMatrix:
@@ -51,9 +58,18 @@ class CoassocMatrix:
 
 def _accumulate(view: EnsembleView, weights: np.ndarray, kind: str) -> CoassocMatrix:
     """Add each cluster's weight to every pair of its members, then divide by M,
-    over one representative object per microcluster: O(sum |C|^2) work on the
-    representatives. Clusters go in id order, so every entry is the same sum,
-    added in the same order, as the N x N entry of its representatives."""
+    over one representative object per microcluster. Clusters go in id order,
+    so every entry is the same sum, added in the same order, as the N x N
+    entry of its representatives.
+
+    A cluster with c representative rows adds to the c(c+1)/2 cells of one
+    triangle only (row >= column, so each row's cells are written together),
+    and `_mirror` copies that triangle over the diagonal: O(sum c(c+1)/2)
+    scattered adds plus O(p^2) for the mirror and the division. Temporaries:
+    one int64 array of c_max(c_max+1)/2 pair columns for the largest cluster,
+    two of at most SCATTER_PAIRS entries per scatter call, and the mirror's
+    MIRROR_BLOCK x p block; no second p x p array.
+    """
     # number the distinct rows of positive-weight cluster ids one column at a time
     key = np.zeros(view.n_objects, dtype=np.int64)
     for column in np.where(weights[view.cluster_ids] > 0, view.cluster_ids, -1).T:
@@ -66,14 +82,39 @@ def _accumulate(view: EnsembleView, weights: np.ndarray, kind: str) -> CoassocMa
     leaf = rank[key]
     is_rep = np.zeros(view.n_objects, dtype=bool)
     is_rep[first] = True
+    # a cluster's rows come out ascending, since rows are numbered by their
+    # representatives. Row j of the triangle holds j + 1 pairs; `low` lists
+    # their columns for the largest cluster, row after row, so its first
+    # c(c+1)/2 entries serve any c-row cluster.
+    c_max = np.bincount(view.cluster_ids[first].ravel()).max()
+    low = np.tril_indices(c_max)[1]
+    row_pairs = np.arange(1, c_max + 1)
+    step = max(1, SCATTER_PAIRS // c_max)  # triangle rows per scatter
     values = np.zeros((p, p))
+    flat = values.ravel()
     for members, weight in zip(view.members(), weights):
         rows = leaf[members[is_rep[members]]]
-        values[rows[:, None], rows] += weight
+        for j0 in range(0, rows.size, step):
+            j1 = min(j0 + step, rows.size)
+            cells = np.repeat(rows[j0:j1] * p, row_pairs[j0:j1])
+            cells += rows[low[j0 * (j0 + 1) // 2 : j1 * (j1 + 1) // 2]]
+            flat[cells] += weight
+    _mirror(values)
     values /= view.n_clusterings
     values.flags.writeable = False
     leaf.flags.writeable = False
     return CoassocMatrix(values=values, kind=kind, leaf=leaf)
+
+
+def _mirror(values: np.ndarray) -> None:
+    """Copy the lower triangle of a square matrix whose strict upper triangle
+    is 0 onto that upper triangle, MIRROR_BLOCK rows at a time."""
+    p = values.shape[0]
+    for a in range(0, p, MIRROR_BLOCK):
+        b = min(a + MIRROR_BLOCK, p)
+        values[a:b, b:] = values[b:, a:b].T
+        diagonal = values[a:b, a:b]
+        diagonal += np.triu(diagonal.T, 1)
 
 
 def build_ca(view: EnsembleView) -> CoassocMatrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -130,6 +131,16 @@ class EnsembleView:
             order = np.argsort(column, kind="stable")
             out.extend(np.split(order, np.cumsum(np.bincount(column))[:-1]))
         return out
+
+    @cached_property
+    def _uncertainty(self) -> np.ndarray:
+        """`validity.uncertainty_table(self)`: built on first use, then kept
+        read-only for the view's lifetime."""
+        from .validity import _uncertainty_table  # validity imports this module
+
+        table = _uncertainty_table(self)
+        table.flags.writeable = False
+        return table
 
 
 def build_ensemble_view(labels: LabelMatrix) -> EnsembleView:

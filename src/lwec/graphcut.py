@@ -45,6 +45,10 @@ INDUCED_SEARCH_LIMIT = 20_000
 # noise, where it needs the most blocks.
 EIGH_MAX_CLUSTERS = 700
 
+# Rows per block when _symmetrize averages W_c with its transpose in place;
+# its one temporary is SYMMETRIZE_BLOCK x n_c.
+SYMMETRIZE_BLOCK = 64
+
 # Consecutive nodes whose move gains _refine_partition evaluates in one numpy
 # pass; a larger block wastes more work past each move, a smaller one pays
 # more per-call overhead between moves.
@@ -265,9 +269,7 @@ def _embedding(edges: _Edges, k: int) -> np.ndarray:
     inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
     w_c *= inv_sqrt[:, None]
     w_c *= inv_sqrt[None, :]
-    sym = w_c + w_c.T
-    del w_c
-    sym /= 2
+    sym = _symmetrize(w_c)
     if edges.n_clusters <= EIGH_MAX_CLUSTERS:
         vecs = np.linalg.eigh(sym)[1][:, -k:]
     else:
@@ -276,6 +278,22 @@ def _embedding(edges: _Edges, k: int) -> np.ndarray:
     norms = np.linalg.norm(f_obj, axis=1)
     norms[norms == 0] = 1.0
     return f_obj / norms[:, None]
+
+
+def _symmetrize(w: np.ndarray) -> np.ndarray:
+    """(w + w^T) / 2 in place, SYMMETRIZE_BLOCK rows at a time, so the only
+    temporary is one SYMMETRIZE_BLOCK x n buffer, allocated once. (a + b) / 2
+    rounds the same either way round, so both halves get the bits of the
+    out-of-place sum."""
+    n = w.shape[0]
+    buf = np.empty((min(SYMMETRIZE_BLOCK, n), n))
+    for a in range(0, n, SYMMETRIZE_BLOCK):
+        b = min(a + SYMMETRIZE_BLOCK, n)
+        block = np.add(w[a:b, a:], w[a:, a:b].T, out=buf[: b - a, : n - a])
+        block /= 2
+        w[a:b, a:] = block
+        w[a:, a:b] = block.T
+    return w
 
 
 def _refine_partition(

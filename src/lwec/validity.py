@@ -33,9 +33,18 @@ def uncertainty_table(view: EnsembleView) -> np.ndarray:
     """n_c x M table: entry (c, m) is the entropy in bits of cluster c's members
     over column m's clusters; a cluster's own column holds 0.
 
-    For each target column m, one bincount over `cluster_ids * k_m + labels[:, m]`
-    counts every cluster's members per column-m cluster at once, so the whole
-    table is M bincounts over N x M keys, O(N * M^2) work.
+    The table does not depend on theta, so it is built once per view, on
+    first use, and the same read-only array is returned for the view's
+    lifetime: lwea and lwgp on one view, and every theta of a grid, share it.
+    """
+    return view._uncertainty
+
+
+def _uncertainty_table(view: EnsembleView) -> np.ndarray:
+    """Build `uncertainty_table(view)`. For each target column m, one bincount
+    over `cluster_ids * k_m + labels[:, m]` counts every cluster's members per
+    column-m cluster at once, so the whole table is M bincounts over N x M
+    keys, O(N * M^2) work.
     """
     labels = view.labels.labels
     counts = view.labels.clusters_per_column

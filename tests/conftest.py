@@ -58,6 +58,23 @@ def column_members(view, column: int) -> list[np.ndarray]:
     return view.members()[lo:hi]
 
 
+def blob_voronoi_view(n, ks, seed, noise=0.0):
+    """Voronoi ensemble over n points of three blobs, like the benchmark's
+    inputs: column c labels each point by the nearest of ks[c] random points,
+    and with probability `noise` redraws the label uniformly from [0, ks[c])."""
+    x, _ = make_gaussian_blobs(n, [[0.0, 0.0], [9.0, 9.0], [18.0, 0.0]], spread=3.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    columns = []
+    for k in ks:
+        sites = x[rng.choice(n, size=k, replace=False)]
+        column = ((x[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        if noise:
+            flip = rng.random(n) < noise
+            column[flip] = rng.integers(0, k, size=int(flip.sum()))
+        columns.append(column)
+    return build_ensemble_view(LabelMatrix.from_array(np.column_stack(columns)))
+
+
 def random_label_array(rng: np.random.Generator, n: int, m: int, max_clusters: int = 5) -> np.ndarray:
     """Random dense label matrix with 2..max_clusters non-empty clusters per column."""
     cols = []

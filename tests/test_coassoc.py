@@ -14,10 +14,11 @@ from lwec import (
     build_ensemble_view,
     build_lwca,
 )
-from lwec.coassoc import write_lower_triangle
+from lwec import coassoc
+from lwec.coassoc import MIRROR_BLOCK, write_lower_triangle
 
 import reference as ref
-from conftest import label_arrays, random_label_array
+from conftest import blob_voronoi_view, label_arrays, random_label_array
 
 
 def unit_report(view) -> ValidityReport:
@@ -173,6 +174,42 @@ class TestMicroclusterStorage:
         ca = build_ca(build_ensemble_view(LabelMatrix.from_array(arr)))
         assert ca.n == 5
         assert ca.leaf.tolist() == [0, 1, 0, 2, 1]
+
+
+class TestTriangleScatter:
+    """Each cluster adds to one triangle of the stored matrix, a few rows per
+    call, which is then mirrored in blocks of rows: on ensembles where no
+    label row repeats, so the matrix spans several mirror blocks, `dense()`
+    must still be the N x N accumulation bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def noisy_labels(self):
+        # 700 objects, 30 Voronoi columns of 2..27 clusters, 10% label noise:
+        # 699 distinct label rows
+        return blob_voronoi_view(700, np.rint(np.linspace(2, 27, 30)).astype(int), 11, noise=0.1).labels.labels
+
+    @pytest.mark.parametrize("extra", ["none", "one cluster", "singletons"])
+    @pytest.mark.parametrize("theta", [None, 0.4, 1e-3])
+    @pytest.mark.parametrize("scatter_pairs", [coassoc.SCATTER_PAIRS, 3000])  # 3000: a few rows per call
+    def test_dense_equals_the_n_by_n_accumulation(self, monkeypatch, noisy_labels, extra, theta, scatter_pairs):
+        monkeypatch.setattr(coassoc, "SCATTER_PAIRS", scatter_pairs)
+        n = noisy_labels.shape[0]
+        columns = {"none": [], "one cluster": [np.zeros(n, dtype=np.int64)], "singletons": [np.arange(n)]}
+        view = build_ensemble_view(LabelMatrix.from_array(np.column_stack([noisy_labels, *columns[extra]])))
+        if theta is None:
+            weights = np.ones(view.n_clusters)
+            matrix = build_ca(view)
+        else:
+            report = annotate_validity(view, theta)
+            weights = report.eci
+            matrix = build_lwca(view, report)
+        if theta == 1e-3:
+            assert 0 < (weights == 0).sum() < weights.size
+        if theta != 1e-3 or extra == "singletons":
+            assert matrix.values.shape[0] >= n - 1 > 3 * MIRROR_BLOCK
+        assert np.array_equal(matrix.dense(), ref.coassoc_dense_ref(view, weights))
+        assert np.array_equal(matrix.values, matrix.values.T)
+        assert not matrix.values.flags.writeable
 
 
 class TestDump:

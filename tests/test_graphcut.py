@@ -21,10 +21,10 @@ from lwec import (
     tcut_partition,
 )
 from lwec import graphcut
-from lwec.graphcut import _connected_components
+from lwec.graphcut import SYMMETRIZE_BLOCK, _connected_components
 
 import reference as ref
-from conftest import label_arrays, random_label_array
+from conftest import blob_voronoi_view, label_arrays, random_label_array
 
 
 def graph_from(view, theta=0.5):
@@ -283,23 +283,6 @@ def weighted_graph(rng, nodes, clusters_per_column, choices=None):
 def scaled_affinity(graph):
     b = ref.affinity_ref(graph)
     return b / b.max()
-
-
-def blob_voronoi_view(n, ks, seed, noise=0.0):
-    """Voronoi ensemble over n points of three blobs, like the benchmark's
-    inputs: column c labels each point by the nearest of ks[c] random points,
-    and with probability `noise` redraws the label uniformly from [0, ks[c])."""
-    x, _ = make_gaussian_blobs(n, [[0.0, 0.0], [9.0, 9.0], [18.0, 0.0]], spread=3.0, seed=seed)
-    rng = np.random.default_rng(seed)
-    columns = []
-    for k in ks:
-        sites = x[rng.choice(n, size=k, replace=False)]
-        column = ((x[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-        if noise:
-            flip = rng.random(n) < noise
-            column[flip] = rng.integers(0, k, size=int(flip.sum()))
-        columns.append(column)
-    return build_ensemble_view(LabelMatrix.from_array(np.column_stack(columns)))
 
 
 def spread_sizes(total, widest=32):
@@ -624,3 +607,28 @@ def test_induced_start_with_an_empty_segment_is_skipped():
     expected = [0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 2, 2, 0, 0, 2, 2, 2, 1, 1, 1,
                 2, 2, 0, 0, 1, 0, 1, 1, 0, 0, 0, 2, 1, 2, 2, 1, 2, 1, 0, 0]
     assert labels.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, SYMMETRIZE_BLOCK - 1, SYMMETRIZE_BLOCK, SYMMETRIZE_BLOCK + 1, 5 * SYMMETRIZE_BLOCK + 3])
+def test_symmetrize_in_place_matches_the_out_of_place_sum(n):
+    w = np.random.default_rng(n).random((n, n))
+    expected = (w + w.T) / 2
+    assert graphcut._symmetrize(w) is w
+    assert w.tobytes() == expected.tobytes()
+
+
+def test_lanczos_path_holds_one_cluster_graph():
+    # the benchmark's wide-noisy family (n_c = 1,020): W_c is symmetrized in
+    # place, so no second n_c x n_c array is alive at the peak
+    ks = np.rint(np.linspace(2, 32, 60)).astype(int)
+    graph = graph_from(blob_voronoi_view(1000, ks, 10, noise=0.1), 0.4)
+    n_c = graph.n_clusters
+    assert n_c > graphcut.EIGH_MAX_CLUSTERS
+    tcut_partition(graph, 3, seed=0)
+    tracemalloc.start()
+    try:
+        tcut_partition(graph, 3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n_c * n_c * 8

@@ -13,8 +13,11 @@ from lwec import (
     annotate_validity,
     build_ensemble_view,
     eci,
+    lwea,
+    lwgp,
     uncertainty_table,
 )
+from lwec import validity
 from lwec.validity import write_validity_csv
 
 import reference as ref
@@ -134,6 +137,39 @@ class TestUncertaintyTableBits:
         assert np.array_equal(uncertainty_table(view), ref.uncertainty_table_pairwise_ref(view))
 
 
+class TestUncertaintyTableLifetime:
+    """The theta-independent table is built once per view and shared."""
+
+    def test_built_once_per_view_and_read_only(self, monkeypatch, blob_view_m20):
+        calls = []
+        build = validity._uncertainty_table
+
+        def spy(view):
+            calls.append(view)
+            return build(view)
+
+        monkeypatch.setattr(validity, "_uncertainty_table", spy)
+        thetas = (0.2, 0.4, 1.0)
+        view = build_ensemble_view(blob_view_m20.labels)
+        lwea_labels = lwea(view, 3, theta=0.4).labels
+        lwgp_labels = lwgp(view, 3, theta=0.4, seed=0).labels
+        reports = [annotate_validity(view, theta) for theta in thetas]
+        table = uncertainty_table(view)
+        assert uncertainty_table(view) is table
+        assert calls == [view]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+        for theta, report in zip(thetas, reports):
+            fresh = annotate_validity(build_ensemble_view(blob_view_m20.labels), theta)
+            assert report.uncertainty.tobytes() == fresh.uncertainty.tobytes()
+            assert report.eci.tobytes() == fresh.eci.tobytes()
+        assert np.array_equal(lwea_labels, lwea(build_ensemble_view(blob_view_m20.labels), 3, theta=0.4).labels)
+        assert np.array_equal(lwgp_labels, lwgp(build_ensemble_view(blob_view_m20.labels), 3, theta=0.4, seed=0).labels)
+        assert len(calls) == 6  # one per fresh view
+
+
 class TestUncertaintyWrtEnsemble:
     # the ensemble uncertainty of cluster c is annotate_validity(...).uncertainty[c]
 
@@ -247,7 +283,7 @@ class TestAnnotateValidity:
             assert r1.eci[c] == pytest.approx(r2.eci[twin], abs=1e-12)
 
     def test_later_theta_leaves_earlier_report_alone(self, worked_view):
-        # the view holds no per-cluster state, so a theta sweep cannot leave
+        # the view holds no theta-dependent state, so a theta sweep cannot leave
         # the last theta's values behind in an earlier report or its export
         early = annotate_validity(worked_view, theta=0.2)
         text = io.StringIO()
