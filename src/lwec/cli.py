@@ -71,10 +71,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _float_grid(values) -> tuple[float, ...] | None:
-    return tuple(values) if values else None
-
-
 def cmd_sweep(args) -> int:
     with open(args.features) as fh:
         features = read_features(fh)
@@ -88,7 +84,7 @@ def cmd_sweep(args) -> int:
         k_policy=args.k_policy,
         fixed_k=args.fixed_k,
         seed=args.seed,
-        theta_grid=_float_grid(args.theta_grid),
+        theta_grid=tuple(args.theta_grid) if args.theta_grid else None,
         m_grid=tuple(args.m_grid) if args.m_grid else None,
     )
     report = run_experiment(features, truth, config)

@@ -136,23 +136,58 @@ class TestTcutPartition:
 
     @pytest.mark.filterwarnings("ignore::lwec.graphcut.PartitionWarning")
     def test_cut_quality_near_exhaustive_optimum_k2(self):
-        # >= 20 random instances, N <= 10, M <= 2, checked against the exact
-        # minimum normalized cut over all 2-partitions of the full node set
-        rng = np.random.default_rng(29)
-        checked = 0
-        while checked < 20:
-            n = int(rng.integers(6, 11))
-            m = int(rng.integers(1, 3))
+        # checked against the exact minimum normalized cut over all 2-partitions
+        # of the full node set
+        for graph, seed in k2_instances():
+            b = ref.affinity_ref(graph)
+            result = tcut_partition(graph, 2, seed=seed)
+            achieved = ref.best_completion_ncut(b, result.labels, 2)
+            optimum = ref.exhaustive_ncut_k2(b)
+            assert achieved <= optimum * 1.05 + 1e-12
+
+    def test_cut_quality_near_induced_optimum_k3(self):
+        # 100 connected-enough graphs (N 6-12, M 1-3, 2-3 clusters per column,
+        # >= 3 positive-weight clusters, <= 3 components), all small enough for
+        # the sweep starts, against the best cluster-induced 3-way cut
+        rng = np.random.default_rng(7)
+        achieved, optimum = [], []
+        while len(optimum) < 100:
+            n, m = int(rng.integers(6, 13)), int(rng.integers(1, 4))
             view = build_ensemble_view(
                 LabelMatrix.from_array(random_label_array(rng, n, m, max_clusters=3))
             )
             graph = graph_from(view, theta=0.4)
+            if (graph.weights > 0).sum() < 3 or _connected_components(graph).max() >= 3:
+                continue
             b = ref.affinity_ref(graph)
-            result = tcut_partition(graph, 2, seed=int(rng.integers(1000)))
-            achieved = ref.best_completion_ncut(b, result.labels, 2)
-            optimum = ref.exhaustive_ncut_k2(b)
-            assert achieved <= optimum * 1.05 + 1e-12
-            checked += 1
+            achieved.append(ref.best_completion_ncut(b, tcut_partition(graph, 3, seed=0).labels, 3))
+            optimum.append(ref.induced_partition_optimum(b, 3))
+        achieved, optimum = np.array(achieved), np.array(optimum)
+        assert (achieved > optimum * 1.05 + 1e-12).sum() <= 2
+        assert (achieved <= optimum * 1.10 + 1e-12).all()
+
+
+def k2_instances():
+    """(graph, tcut seed) pairs: 20 graphs with N <= 10 and M <= 2 under drawn
+    seeds, then a corpus of 400 graphs of at most 22 nodes (N 6-12, M 1-3,
+    2-5 clusters per column, theta 0.4) under seed 0."""
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(6, 11))
+        m = int(rng.integers(1, 3))
+        view = build_ensemble_view(
+            LabelMatrix.from_array(random_label_array(rng, n, m, max_clusters=3))
+        )
+        yield graph_from(view, theta=0.4), int(rng.integers(1000))
+    rng = np.random.default_rng(5)
+    kept = 0
+    while kept < 400:
+        n, m = int(rng.integers(6, 13)), int(rng.integers(1, 4))
+        view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, n, m)))
+        graph = graph_from(view, theta=0.4)
+        if n + (graph.weights > 0).sum() <= 22:
+            kept += 1
+            yield graph, 0
 
 
 class TestLwgp:
@@ -593,13 +628,15 @@ def test_spectral_path_builds_no_dense_affinity():
     assert peak < graph.n_objects * graph.n_clusters * 8 / 4
 
 
-def test_induced_start_with_an_empty_segment_is_skipped():
-    # the exhaustive search's best object labels use only two of three
-    # segments; refining that start would divide 0 by 0
+def test_sweep_start_with_an_empty_segment_is_skipped():
+    # the first sweep start puts only cluster nodes in one of three segments;
+    # refining that start would divide 0 by 0
     rng = np.random.default_rng(11)
     rng.integers(2, 4)
     rng.integers(2, 5)
     view = build_ensemble_view(LabelMatrix.from_array(rng.integers(0, 2, size=(40, 2))))
+    starts = list(graphcut._sweep_starts(graphcut._edges(graph_from(view, 0.4)), 3))
+    assert any(np.bincount(start, minlength=3).min() == 0 for start in starts)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         labels = lwgp(view, 3, theta=0.4).labels
