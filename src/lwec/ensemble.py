@@ -227,7 +227,11 @@ def _parse_table(source: str | IO[str] | Iterable[str], cast: type, what: str, w
         values = None
     if values is None or (cast is int and min(values) < 0) or any(row.count(",") != width - 1 for row in rows):
         raise ValueError(next(filter(None, (_row_error(lineno, row, cast, width) for lineno, row in numbered))))
-    return np.asarray(values, dtype=np.int64 if cast is int else np.float64).reshape(len(rows), width)
+    try:
+        return np.asarray(values, dtype=np.int64 if cast is int else np.float64).reshape(len(rows), width)
+    except OverflowError:  # an int cell past int64
+        cell = next(i for i, v in enumerate(values) if v > np.iinfo(np.int64).max)
+        raise ValueError(f"line {numbered[cell // width][0]}: cluster label too large for int64") from None
 
 
 def _row_error(lineno: int, row: str, cast: type, width: int) -> str | None:

@@ -107,12 +107,14 @@ class _Edges(NamedTuple):
     columns[i, m] is the id, among positive-weight clusters, of object i's
     m-th cluster, and weights[i, m] is that edge's weight divided by the
     largest edge weight (the normalized cut is scale-invariant). An edge into
-    a zero-weight cluster has column 0 and weight 0.
+    a zero-weight cluster has column 0 and weight 0. degrees holds the
+    N + n_c node degrees, objects first.
     """
 
     columns: np.ndarray
     weights: np.ndarray
     n_clusters: int
+    degrees: np.ndarray
 
 
 def _edges(graph: BipartiteGraph) -> _Edges:
@@ -120,7 +122,10 @@ def _edges(graph: BipartiteGraph) -> _Edges:
     live = keep[graph.cluster_ids]
     columns = np.where(live, (np.cumsum(keep) - 1)[graph.cluster_ids], 0)
     weights = np.where(live, graph.weights[graph.cluster_ids], 0.0)
-    return _Edges(columns, weights / weights.max(), int(keep.sum()))
+    weights /= weights.max()
+    nc = int(keep.sum())
+    cluster_degrees = np.bincount(columns.ravel(), weights=weights.ravel(), minlength=nc)
+    return _Edges(columns, weights, nc, np.concatenate([weights.sum(axis=1), cluster_degrees]))
 
 
 def _connected_components(graph: BipartiteGraph) -> np.ndarray:
@@ -152,7 +157,7 @@ def _cluster_graph(edges: _Edges, share: np.ndarray) -> np.ndarray:
     (row, cluster) keys of all N x M edges fills those rows. Memory stays
     O(N M + n_c^2); no N x M^2 pair list and no N x n_c matrix is built.
     """
-    columns, weights, nc = edges
+    columns, weights, nc, _ = edges
     w_c = np.zeros((nc, nc))
     for a in range(columns.shape[1]):
         live = weights[:, a] > 0
@@ -222,55 +227,52 @@ def _top_eigenvectors(sym: np.ndarray, k: int) -> np.ndarray:
         basis = np.hstack([basis, q])
 
 
-def _embedding(edges: _Edges, k: int) -> np.ndarray:
-    """Row-normalized object embedding: the k leading eigenvectors of the
-    normalized W_c, transferred to the objects through D_o^-1 B.
+def _spectral_embedding(edges: _Edges, k: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Row-normalized object embedding, with the eigenvalues and the cluster
+    nodes' positions D_c^-1/2 v along the eigenvectors v it came from.
 
-    The eigenvectors come from a full eigh while W_c has at most
-    EIGH_MAX_CLUSTERS rows and from `_top_eigenvectors` beyond that."""
-    share, sym, _ = _normalized_cluster_graph(edges)
-    if edges.n_clusters <= EIGH_MAX_CLUSTERS:
-        vecs = np.linalg.eigh(sym)[1][:, -k:]
-    else:
-        vecs = _top_eigenvectors(sym, k)
-    f_obj = _transfer(edges, share, vecs)
-    norms = np.linalg.norm(f_obj, axis=1)
-    norms[norms == 0] = 1.0
-    return f_obj / norms[:, None]
-
-
-def _normalized_cluster_graph(edges: _Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D_o^-1 B per edge, the symmetrized D_c^-1/2 W_c D_c^-1/2, and D_c^-1/2."""
-    share = edges.weights / edges.weights.sum(axis=1)[:, None]
+    The leading eigenvectors of the normalized cluster graph D_c^-1/2 W_c D_c^-1/2
+    (D_c holds W_c's row sums) come from a full eigh while W_c has at most
+    EIGH_MAX_CLUSTERS rows, which gives k + 1 leading pairs in ascending
+    order, and beyond that from `_top_eigenvectors`, which gives k vectors and
+    no values. The k leading vectors are transferred to the objects through
+    D_o^-1 B. No n_c x n_c array outlives the call."""
+    share = edges.weights / edges.degrees[: edges.columns.shape[0], None]
     w_c = _cluster_graph(edges, share)
     inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
     w_c *= inv_sqrt[:, None]
     w_c *= inv_sqrt[None, :]
-    return share, _symmetrize(w_c), inv_sqrt
+    sym = _symmetrize(w_c)
+    if edges.n_clusters > EIGH_MAX_CLUSTERS:
+        values, vectors = None, _top_eigenvectors(sym, k)
+    else:
+        values, vectors = np.linalg.eigh(sym)
+        values = values[-k - 1:]
+    f_obj = _transfer(edges, share, vectors[:, -k:])
+    norms = np.linalg.norm(f_obj, axis=1)
+    norms[norms == 0] = 1.0
+    return f_obj / norms[:, None], values, inv_sqrt[:, None] * vectors[:, -k - 1:]
 
 
-def _sweep_starts(edges: _Edges, k: int) -> Iterator[np.ndarray]:
+def _sweep_starts(edges: _Edges, values: np.ndarray, u: np.ndarray, k: int) -> Iterator[np.ndarray]:
     """Object labels of the sweep-cut starts (Shi & Malik, TPAMI 2000).
 
-    Each of the k + 1 leading eigenvectors v of the normalized W_c gives one
-    axis through all N + n_c nodes: a cluster sits at D_c^-1/2 v, an object
-    at the transfer D_o^-1 B D_c^-1/2 v over the eigenvalue's square root, so
-    both sides lie on one scale. A start splits the nodes k - 1 times, each
-    time at the sorted prefix of one segment that raises the normalized cut
+    Each of the k + 1 leading eigenvectors v of the normalized W_c, with the
+    eigenvalues and u = D_c^-1/2 v from `_spectral_embedding`'s full eigh,
+    gives one axis through all N + n_c nodes: a cluster sits at u, an object
+    at the transfer D_o^-1 B u over the eigenvalue's square root, so both
+    sides lie on one scale. A start splits the nodes k - 1 times, each time
+    at the sorted prefix of one segment that raises the normalized cut
     least. There is one start per axis and one that may take any axis at
     each split.
     """
-    n, nc = edges.columns.shape[0], edges.n_clusters
-    share, sym, inv_sqrt = _normalized_cluster_graph(edges)
-    values, vectors = np.linalg.eigh(sym)
-    u = inv_sqrt[:, None] * vectors[:, -k - 1:]
+    n, nc, deg = edges.columns.shape[0], edges.n_clusters, edges.degrees
     # a null direction's eigenvalue rounds to about 0 or below; its objects then sit near 0
-    scale = np.sqrt(np.maximum(values[-k - 1:], np.finfo(float).tiny))
-    axes = np.vstack([_transfer(edges, share, u) / scale, u]).T
+    scale = np.sqrt(np.maximum(values, np.finfo(float).tiny))
+    axes = np.vstack([_transfer(edges, edges.weights / deg[:n, None], u) / scale, u]).T
     live = edges.weights > 0
     ends = np.column_stack([np.nonzero(live)[0], n + edges.columns[live]])
     w = edges.weights[live]
-    deg = np.bincount(ends.ravel(), weights=np.repeat(w, 2), minlength=n + nc)
 
     def splits(segments, sorted_nodes):
         """(rise, prefix) of each segment's best split into prefix P and rest Q
@@ -338,7 +340,7 @@ def _refine_partition(
     a CSR of the live edges, built once). A pass costs O((N + n_c) k) array
     work plus one block evaluation per move.
     """
-    columns, weights, nc = edges
+    columns, weights, nc, deg = edges
     n, m = columns.shape
     nodes = n + nc
     live = weights > 0
@@ -349,9 +351,6 @@ def _refine_partition(
     members = objects[np.argsort(member_of, kind="stable")]
     starts = np.concatenate([[0], np.cumsum(np.bincount(member_of, minlength=nc))])
 
-    deg = np.concatenate(
-        [weights.sum(axis=1), np.bincount(columns.ravel(), weights=weights.ravel(), minlength=nc)]
-    )
     full = np.empty(nodes, dtype=np.int64)
     full[:n] = labels
     # links[v, s] = total edge weight from node v into segment s
@@ -469,10 +468,12 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
         return ConsensusResult(labels=labels, k=k, method="tcut")
 
     edges = _edges(graph)
-    raw = kmeans(_embedding(edges, k), k, seed=seed)
+    embedding, values, u = _spectral_embedding(edges, k)
+    raw = kmeans(embedding, k, seed=seed)
+    del embedding  # so that the refinement's peak memory does not hold it
     refined, value = _refine_partition(edges, raw, k)
     if k**nc <= SWEEP_START_LIMIT:
-        for start in _sweep_starts(edges, k):
+        for start in _sweep_starts(edges, values, u, k):
             # a start that leaves a segment without objects has no finite cut value
             if np.bincount(start, minlength=k).all():
                 alt, alt_value = _refine_partition(edges, start, k)

@@ -231,14 +231,10 @@ class ExperimentReport:
 
     @property
     def base_mean_per_run(self) -> np.ndarray:
-        return np.array([scores.mean() for scores in self.base_nmi])
+        return _mean_per_run(self.base_nmi)
 
     def rows(self) -> list[SweepRow]:
-        head = [
-            SweepRow(method, "theta", self.config.theta, scores)
-            for method, scores in self.method_nmi.items()
-        ]
-        head.append(SweepRow("base", "theta", self.config.theta, self.base_mean_per_run))
+        head = _group_rows("theta", self.config.theta, self.method_nmi, self.base_mean_per_run)
         return head + self.sweep_rows
 
     def to_csv(self, out: str | IO[str]) -> None:
@@ -248,6 +244,21 @@ class ExperimentReport:
                 f"{r.method},{r.parameter},{r.value:g},{len(r.per_run)},{r.mean:.6f},{r.std:.6f}"
             )
         _write_text("\n".join(lines) + "\n", out)
+
+
+def _mean_per_run(base_nmi: list[np.ndarray]) -> np.ndarray:
+    return np.array([scores.mean() for scores in base_nmi])
+
+
+def _per_method(scores: list[dict[str, float]], methods: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """{method: NMI per run} from one score dict per run, in the order of `methods`."""
+    return {method: np.array([run[method] for run in scores]) for method in methods}
+
+
+def _group_rows(parameter: str, value: float, method_nmi: dict, base_means) -> list[SweepRow]:
+    """One row per method for a set of draws, then one of their mean base-clustering NMI."""
+    rows = [SweepRow(method, parameter, value, scores) for method, scores in method_nmi.items()]
+    return rows + [SweepRow("base", parameter, value, base_means)]
 
 
 def _consensus_k(truth: np.ndarray, config: ExperimentConfig) -> int:
@@ -289,75 +300,48 @@ def run_experiment(features, truth, config: ExperimentConfig) -> ExperimentRepor
 
     Each run draws a fresh ensemble from one shared pool, scores the consensus
     methods and every base clustering in the draw against the ground truth,
-    and (for the sweeps) re-scores the same draws at each grid point; a theta
-    grid point equal to an already scored theta reuses its scores. The draws
-    depend only on their seeds, so they are made first and k-means runs only
-    for the pool members some draw picks, once each.
+    and re-scores the draw at every other theta of the theta grid. Each
+    ensemble size of the M grid, repeats included, makes draws of its own.
+    The draws depend only on their seeds, so they are made first and k-means
+    runs only for the pool members some draw picks, once each.
     """
     x = validate_features(features)
     truth = np.asarray(truth)
     if truth.shape != (x.shape[0],):
         raise ValueError("ground truth length must match the feature matrix")
-    draws = [(config.ensemble_size, _subseed(config.seed, 1, r)) for r in range(config.runs)]
-    draws += [
-        (m, _subseed(config.seed, 3, m, r)) for m in config.m_grid or () for r in range(config.runs)
-    ]
-    drawn = {int(t) for m, s in draws for t in _draw_members(config.pool_size, m, s)}
+    runs, theta = config.runs, config.theta
+    # eac does not depend on theta, so the other thetas skip it
+    other_thetas = [t for t in dict.fromkeys(config.theta_grid or ()) if t != theta]
+    # one group of `runs` draws per ensemble size, the main runs first and then each M-grid
+    # entry: (size, draw seed path, scoring seed path, the thetas its draws are scored at)
+    groups = [(config.ensemble_size, (1,), (2,), [theta] + other_thetas)]
+    groups += [(m, (3, m), (4, m), [theta]) for m in config.m_grid or ()]
+    draws = [(m, _subseed(config.seed, *path, r)) for m, path, _, _ in groups for r in range(runs)]
+    drawn = {int(t) for m, seed in draws for t in _draw_members(config.pool_size, m, seed)}
     pool = generate_pool(x, config, members=drawn)
     k = _consensus_k(truth, config)
     best_k = config.k_policy == "best-k"
 
-    method_runs: dict[str, list[float]] = {"lwea": [], "lwgp": [], "eac": []}
-    base_runs: list[np.ndarray] = []
-    views: list[EnsembleView] = []
-    for r in range(config.runs):
-        ensemble = draw_ensemble(pool, config.ensemble_size, seed=_subseed(config.seed, 1, r))
-        view = build_ensemble_view(ensemble)
-        views.append(view)
-        scores = _score_methods(view, truth, k, config.theta, _subseed(config.seed, 2, r), best_k)
-        for method, score in scores.items():
-            method_runs[method].append(score)
-        base_runs.append(
-            np.array([nmi(ensemble.labels[:, c], truth) for c in range(ensemble.n_clusterings)])
-        )
+    results = []  # per group: {theta: one score dict per run}, base-clustering NMI per run
+    for m, draw_path, score_path, thetas in groups:
+        scores, base = {t: [] for t in thetas}, []
+        for r in range(runs):
+            ensemble = draw_ensemble(pool, m, seed=_subseed(config.seed, *draw_path, r))
+            view = build_ensemble_view(ensemble)
+            seed = _subseed(config.seed, *score_path, r)
+            for t in thetas:
+                score = _score_methods(view, truth, k, t, seed, best_k, with_eac=t == theta)
+                scores[t].append(score)
+            base.append(np.array([nmi(ensemble.labels[:, c], truth) for c in range(m)]))
+        results.append((scores, base))
 
-    report = ExperimentReport(
-        config=config,
-        n_objects=x.shape[0],
-        method_nmi={m: np.asarray(v) for m, v in method_runs.items()},
-        base_nmi=base_runs,
-    )
-
-    if config.theta_grid:
-        by_theta = {config.theta: {m: method_runs[m] for m in ("lwea", "lwgp")}}
-        for theta in config.theta_grid:
-            if theta not in by_theta:
-                per_method: dict[str, list[float]] = {"lwea": [], "lwgp": []}
-                for r, view in enumerate(views):
-                    scores = _score_methods(
-                        view, truth, k, theta, _subseed(config.seed, 2, r), best_k, with_eac=False
-                    )
-                    per_method["lwea"].append(scores["lwea"])
-                    per_method["lwgp"].append(scores["lwgp"])
-                by_theta[theta] = per_method
-            for method, vals in by_theta[theta].items():
-                report.sweep_rows.append(SweepRow(method, "theta", theta, np.asarray(vals)))
-
-    if config.m_grid:
-        for m in config.m_grid:
-            per_method = {"lwea": [], "lwgp": [], "eac": [], "base": []}
-            for r in range(config.runs):
-                ensemble = draw_ensemble(pool, m, seed=_subseed(config.seed, 3, m, r))
-                view = build_ensemble_view(ensemble)
-                scores = _score_methods(
-                    view, truth, k, config.theta, _subseed(config.seed, 4, m, r), best_k
-                )
-                for method in ("lwea", "lwgp", "eac"):
-                    per_method[method].append(scores[method])
-                per_method["base"].append(
-                    float(np.mean([nmi(ensemble.labels[:, c], truth) for c in range(m)]))
-                )
-            for method, vals in per_method.items():
-                report.sweep_rows.append(SweepRow(method, "M", float(m), np.asarray(vals)))
-
+    methods = ("lwea", "lwgp", "eac")
+    (main, main_base), *m_results = results
+    report = ExperimentReport(config, x.shape[0], _per_method(main[theta], methods), main_base)
+    for t in config.theta_grid or ():
+        for method, per_run in _per_method(main[t], ("lwea", "lwgp")).items():
+            report.sweep_rows.append(SweepRow(method, "theta", t, per_run))
+    for m, (scores, base) in zip(config.m_grid or (), m_results):
+        method_nmi = _per_method(scores[theta], methods)
+        report.sweep_rows += _group_rows("M", float(m), method_nmi, _mean_per_run(base))
     return report

@@ -303,7 +303,8 @@ def best_completion_ncut(affinity: np.ndarray, obj_labels, k: int) -> float:
 
 
 def exhaustive_ncut_k2(affinity: np.ndarray) -> float:
-    """Exact optimum over all 2-partitions of the full node set (vectorized)."""
+    """Exact optimum over all 2-partitions of the full node set, vectorized over
+    blocks of 2^15 partitions so that memory stays O(2^15 x nodes)."""
     b = np.asarray(affinity, dtype=np.float64)
     n, nc = b.shape
     nodes = n + nc
@@ -313,17 +314,20 @@ def exhaustive_ncut_k2(affinity: np.ndarray) -> float:
     d = w.sum(axis=1)
     total = d.sum()
     count = 1 << (nodes - 1)  # node 0 pinned to side 0
-    masks = np.arange(count, dtype=np.uint64)
-    x = np.zeros((count, nodes))
-    for bit in range(nodes - 1):
-        x[:, bit + 1] = (masks >> np.uint64(bit)) & np.uint64(1)
-    vol1 = x @ d
-    vol0 = total - vol1
-    assoc1 = ((x @ w) * x).sum(axis=1)
-    cut = vol1 - assoc1
-    valid = (vol0 > 0) & (vol1 > 0)
-    ncuts = np.where(valid, cut / np.where(vol1 > 0, vol1, 1) + cut / np.where(vol0 > 0, vol0, 1), np.inf)
-    return float(ncuts.min())
+    bits = np.arange(nodes - 1, dtype=np.uint64)
+    best = math.inf
+    for start in range(0, count, 1 << 15):
+        masks = np.arange(start, min(start + (1 << 15), count), dtype=np.uint64)
+        x = np.zeros((masks.size, nodes))
+        x[:, 1:] = (masks[:, None] >> bits) & np.uint64(1)
+        vol1 = x @ d
+        vol0 = total - vol1
+        assoc1 = ((x @ w) * x).sum(axis=1)
+        cut = vol1 - assoc1
+        valid = (vol0 > 0) & (vol1 > 0)
+        ncuts = np.where(valid, cut / np.where(vol1 > 0, vol1, 1) + cut / np.where(vol0 > 0, vol0, 1), np.inf)
+        best = min(best, float(ncuts.min()))
+    return best
 
 
 def induced_partition_optimum(affinity: np.ndarray, k: int) -> float:

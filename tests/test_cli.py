@@ -173,6 +173,7 @@ class TestMalformedFiles:
         (("# late", "0"), "line 3: unexpected '#' row"),
         (("-1",), "line 3: negative cluster label"),
         (("1,1",), r"line 3: ragged rows \(2 cells, expected 1\)"),
+        (("99999999999999999999",), "line 3: cluster label too large for int64"),
     ])
     def test_eval_pred_row(self, data_dir, tmp_path, capsys, rows, message):
         # the faulty rows replace line 3 of a prediction as long as the truth
@@ -180,6 +181,12 @@ class TestMalformedFiles:
         pred = tmp_path / "pred.txt"
         pred.write_text("\n".join(truth[:2] + list(rows) + truth[3:]) + "\n")
         self.fails_with(capsys, ["eval", "--pred", pred, "--truth", data_dir / "truth.txt"], message)
+
+    def test_consensus_label_past_int64(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("1,2\n99999999999999999999,3\n")
+        args = ["consensus", "--labels", labels, "--k", "2", "--out", tmp_path / "out.txt"]
+        self.fails_with(capsys, args, "line 2: cluster label too large for int64")
 
     def test_eval_header_only_pred(self, data_dir, tmp_path, capsys):
         pred = tmp_path / "pred.txt"

@@ -552,7 +552,7 @@ class TestTopEigenvectors:
         assert view.n_clusters == 1020 > graphcut.EIGH_MAX_CLUSTERS
         graph = graph_from(view, 0.4)
         labels = {k: tcut_partition(graph, k, seed=0).labels for k in (2, 3, 5)}
-        monkeypatch.setattr(graphcut, "_embedding", ref.embedding_eigh_ref)
+        monkeypatch.setattr(graphcut, "EIGH_MAX_CLUSTERS", view.n_clusters)
         for k, got in labels.items():
             assert np.array_equal(got, tcut_partition(graph, k, seed=0).labels)
 
@@ -628,14 +628,20 @@ def test_spectral_path_builds_no_dense_affinity():
     assert peak < graph.n_objects * graph.n_clusters * 8 / 4
 
 
-def test_sweep_start_with_an_empty_segment_is_skipped():
-    # the first sweep start puts only cluster nodes in one of three segments;
-    # refining that start would divide 0 by 0
+def gated_view():
+    """40 objects, 2 columns of 2 labels: n_c = 4, inside the sweep-start gate at k = 3."""
     rng = np.random.default_rng(11)
     rng.integers(2, 4)
     rng.integers(2, 5)
-    view = build_ensemble_view(LabelMatrix.from_array(rng.integers(0, 2, size=(40, 2))))
-    starts = list(graphcut._sweep_starts(graphcut._edges(graph_from(view, 0.4)), 3))
+    return build_ensemble_view(LabelMatrix.from_array(rng.integers(0, 2, size=(40, 2))))
+
+
+def test_sweep_start_with_an_empty_segment_is_skipped():
+    # the first sweep start puts only cluster nodes in one of three segments;
+    # refining that start would divide 0 by 0
+    view = gated_view()
+    edges = graphcut._edges(graph_from(view, 0.4))
+    starts = list(graphcut._sweep_starts(edges, *graphcut._spectral_embedding(edges, 3)[1:], 3))
     assert any(np.bincount(start, minlength=3).min() == 0 for start in starts)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -644,6 +650,29 @@ def test_sweep_start_with_an_empty_segment_is_skipped():
     expected = [0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 2, 2, 0, 0, 2, 2, 2, 1, 1, 1,
                 2, 2, 0, 0, 1, 0, 1, 1, 0, 0, 0, 2, 1, 2, 2, 1, 2, 1, 0, 0]
     assert labels.tolist() == expected
+
+
+def test_one_spectrum_per_cut(monkeypatch):
+    # the sweep starts reuse the eigenpairs of the spectral embedding: one
+    # cluster graph and one n_c x n_c eigh per cut
+    graph = graph_from(gated_view(), 0.4)
+    assert 3 ** graph.n_clusters <= graphcut.SWEEP_START_LIMIT
+    calls = full_eigh_calls(monkeypatch, graph.n_clusters)
+    built = []
+    cluster_graph = graphcut._cluster_graph
+    monkeypatch.setattr(graphcut, "_cluster_graph", lambda *args: built.append(1) or cluster_graph(*args))
+    tcut_partition(graph, 3, seed=0)
+    assert len(calls) == len(built) == 1
+
+
+@pytest.mark.parametrize("theta, k", [(0.4, 3), (0.2, 2), (1.0, 5)])
+def test_full_eigh_embedding_matches_reference_bytes(blob_view_m20, theta, k):
+    for view in (gated_view(), blob_view_m20):
+        edges = graphcut._edges(graph_from(view, theta))
+        if edges.n_clusters < k:
+            continue
+        embedding = graphcut._spectral_embedding(edges, k)[0]
+        assert embedding.tobytes() == ref.embedding_eigh_ref(edges, k).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, SYMMETRIZE_BLOCK - 1, SYMMETRIZE_BLOCK, SYMMETRIZE_BLOCK + 1, 5 * SYMMETRIZE_BLOCK + 3])

@@ -438,6 +438,94 @@ class TestExperiment:
             run_experiment(x, np.zeros(7), config)
 
 
+# to_csv of the report below: a repeated theta reuses the scores of its first
+# occurrence, and each repeated ensemble size makes its own draws
+GOLDEN_REPORTS = {
+    "true-k": (
+        "method,parameter,value,runs,mean_nmi,std_nmi\n"
+        "lwea,theta,0.4,2,0.715215,0.023959\n"
+        "lwgp,theta,0.4,2,0.689691,0.049483\n"
+        "eac,theta,0.4,2,0.654942,0.058456\n"
+        "base,theta,0.4,2,0.648728,0.017100\n"
+        "lwea,theta,0.2,2,0.680441,0.010815\n"
+        "lwgp,theta,0.2,2,0.642136,0.001928\n"
+        "lwea,theta,0.4,2,0.715215,0.023959\n"
+        "lwgp,theta,0.4,2,0.689691,0.049483\n"
+        "lwea,theta,1,2,0.715215,0.023959\n"
+        "lwgp,theta,1,2,0.665732,0.025524\n"
+        "lwea,theta,0.2,2,0.680441,0.010815\n"
+        "lwgp,theta,0.2,2,0.642136,0.001928\n"
+        "lwea,M,3,2,0.614265,0.099133\n"
+        "lwgp,M,3,2,0.603194,0.088062\n"
+        "eac,M,3,2,0.654942,0.058456\n"
+        "base,M,3,2,0.651001,0.015370\n"
+        "lwea,M,8,2,0.681617,0.009638\n"
+        "lwgp,M,8,2,0.676803,0.036595\n"
+        "eac,M,8,2,0.691256,0.000000\n"
+        "base,M,8,2,0.638354,0.011673\n"
+        "lwea,M,3,2,0.614265,0.099133\n"
+        "lwgp,M,3,2,0.603194,0.088062\n"
+        "eac,M,3,2,0.654942,0.058456\n"
+        "base,M,3,2,0.651001,0.015370\n"
+    ),
+    "best-k": (
+        "method,parameter,value,runs,mean_nmi,std_nmi\n"
+        "lwea,theta,0.4,2,0.715215,0.023959\n"
+        "lwgp,theta,0.4,2,0.705773,0.033401\n"
+        "eac,theta,0.4,2,0.719627,0.036053\n"
+        "base,theta,0.4,2,0.648728,0.017100\n"
+        "lwea,theta,0.2,2,0.695105,0.003849\n"
+        "lwgp,theta,0.2,2,0.674347,0.030063\n"
+        "lwea,theta,0.4,2,0.715215,0.023959\n"
+        "lwgp,theta,0.4,2,0.705773,0.033401\n"
+        "lwea,theta,1,2,0.715215,0.023959\n"
+        "lwgp,theta,1,2,0.696437,0.024064\n"
+        "lwea,theta,0.2,2,0.695105,0.003849\n"
+        "lwgp,theta,0.2,2,0.674347,0.030063\n"
+        "lwea,M,3,2,0.693460,0.023163\n"
+        "lwgp,M,3,2,0.680776,0.010479\n"
+        "eac,M,3,2,0.707699,0.047981\n"
+        "base,M,3,2,0.651001,0.015370\n"
+        "lwea,M,8,2,0.683492,0.011513\n"
+        "lwgp,M,8,2,0.690053,0.026570\n"
+        "eac,M,8,2,0.707261,0.012256\n"
+        "base,M,8,2,0.638354,0.011673\n"
+        "lwea,M,3,2,0.693460,0.023163\n"
+        "lwgp,M,3,2,0.680776,0.010479\n"
+        "eac,M,3,2,0.707699,0.047981\n"
+        "base,M,3,2,0.651001,0.015370\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("k_policy", sorted(GOLDEN_REPORTS))
+def test_golden_report_with_repeated_grid_values(monkeypatch, k_policy):
+    import lwec.harness as harness
+
+    calls = {"ca": 0, "lwca": 0}
+
+    def counting_build_ca(view):
+        calls["ca"] += 1
+        return build_ca(view)
+
+    def counting_build_lwca(view, report):
+        calls["lwca"] += 1
+        return build_lwca(view, report)
+
+    monkeypatch.setattr(harness, "build_ca", counting_build_ca)
+    monkeypatch.setattr(harness, "build_lwca", counting_build_lwca)
+    x, y = make_gaussian_blobs(60, [[0, 0], [4, 4], [8, 0]], spread=1.8, seed=5)
+    config = ExperimentConfig(
+        pool_size=10, ensemble_size=4, runs=2, seed=23, k_policy=k_policy,
+        theta_grid=(0.2, 0.4, 1.0, 0.2), m_grid=(3, 8, 3),
+    )
+    out = io.StringIO()
+    run_experiment(x, y, config).to_csv(out)
+    assert out.getvalue() == GOLDEN_REPORTS[k_policy]
+    # eac once per draw; lwea at each distinct theta of a main draw and once per M-grid draw
+    assert calls == {"ca": 2 + 3 * 2, "lwca": 2 * 3 + 3 * 2}
+
+
 class TestFeatureIo:
     def test_roundtrip(self, tmp_path):
         x = np.array([[1.5, -2.25], [0.0, 3.125]])
