@@ -56,11 +56,13 @@ class CoassocMatrix:
         return self.values[np.ix_(self.leaf, self.leaf)]
 
 
-def _accumulate(view: EnsembleView, weights: np.ndarray, kind: str) -> CoassocMatrix:
+def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Add each cluster's weight to every pair of its members, then divide by M,
     over one representative object per microcluster. Clusters go in id order,
     so every entry is the same sum, added in the same order, as the N x N
-    entry of its representatives.
+    entry of its representatives. Returns a `CoassocMatrix`'s `values` and
+    `leaf`, still writable: the builders freeze them, and the average-link
+    path of `lwea` and `eac` works in `values` in place.
 
     A cluster with c representative rows adds to the c(c+1)/2 cells of one
     triangle only (row >= column, so each row's cells are written together),
@@ -101,6 +103,10 @@ def _accumulate(view: EnsembleView, weights: np.ndarray, kind: str) -> CoassocMa
             flat[cells] += weight
     _mirror(values)
     values /= view.n_clusterings
+    return values, leaf
+
+
+def _frozen(values: np.ndarray, leaf: np.ndarray, kind: str) -> CoassocMatrix:
     values.flags.writeable = False
     leaf.flags.writeable = False
     return CoassocMatrix(values=values, kind=kind, leaf=leaf)
@@ -123,7 +129,12 @@ def build_ca(view: EnsembleView) -> CoassocMatrix:
     Every cluster weighs 1, so the sums are exact small integers and only the
     final division rounds.
     """
-    return _accumulate(view, np.ones(view.n_clusters), "ca")
+    return _frozen(*_ca(view), "ca")
+
+
+def _ca(view: EnsembleView) -> tuple[np.ndarray, np.ndarray]:
+    """`build_ca`'s values and leaf, still writable."""
+    return _accumulate(view, np.ones(view.n_clusters))
 
 
 def build_lwca(view: EnsembleView, report: ValidityReport) -> CoassocMatrix:
@@ -134,6 +145,11 @@ def build_lwca(view: EnsembleView, report: ValidityReport) -> CoassocMatrix:
     Raises ValueError if every weight is 0 (theta small enough to underflow
     them all), since the matrix would then hold no evidence.
     """
+    return _frozen(*_lwca(view, report), "lwca")
+
+
+def _lwca(view: EnsembleView, report: ValidityReport) -> tuple[np.ndarray, np.ndarray]:
+    """`build_lwca`'s values and leaf, still writable, after the same checks."""
     if len(report.eci) != view.n_clusters:
         raise ValueError(
             f"report covers {len(report.eci)} clusters, view has {view.n_clusters}"
@@ -142,7 +158,7 @@ def build_lwca(view: EnsembleView, report: ValidityReport) -> CoassocMatrix:
         raise ValueError(
             f"every cluster weight underflows to 0 at theta={report.theta:g}; use a larger theta"
         )
-    return _accumulate(view, report.eci, "lwca")
+    return _accumulate(view, report.eci)
 
 
 def write_lower_triangle(matrix: CoassocMatrix, out: str | IO[str]) -> None:

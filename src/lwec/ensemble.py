@@ -124,13 +124,20 @@ class EnsembleView:
     def n_clusters(self) -> int:
         return int(self.column_offsets[-1])
 
-    def members(self) -> list[np.ndarray]:
-        """Member indices of every pooled cluster, in cluster-id order, each sorted."""
+    def members(self) -> tuple[np.ndarray, ...]:
+        """Member indices of every pooled cluster, in cluster-id order, each
+        sorted and read-only: built on first use, then kept for the view's
+        lifetime."""
+        return self._members
+
+    @cached_property
+    def _members(self) -> tuple[np.ndarray, ...]:
         out: list[np.ndarray] = []
         for column in self.labels.labels.T:
             order = np.argsort(column, kind="stable")
+            order.flags.writeable = False
             out.extend(np.split(order, np.cumsum(np.bincount(column))[:-1]))
-        return out
+        return tuple(out)
 
     @cached_property
     def _uncertainty(self) -> np.ndarray:

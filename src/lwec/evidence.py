@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coassoc import CoassocMatrix, build_ca, build_lwca
+from .coassoc import CoassocMatrix, _ca, _lwca
 from .ensemble import ConsensusResult, EnsembleView, relabel_first_appearance
 from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
 
@@ -23,6 +23,9 @@ __all__ = [
     "lwea",
     "eac",
 ]
+
+# rows of the co-association per block of the safety rule's scan
+SAFETY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -86,18 +89,27 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     rule splits a group): O(s) per merge plus O(s) per rescanned row, so
     O(s^2) time when few rows share a maximum column and O(s^3) at worst;
     O(c s) per completed group for the replay; the c x c loops of the groups
-    whose averages round. Memory is O(s^2 + N) on top of `matrix`.
+    whose averages round. Memory is O(s^2 + N) on top of `matrix`, which is
+    left as it is; `lwea` and `eac` instead hand their freshly built matrix
+    to the loop, which then works in that buffer when every slot is one row.
     """
-    n = matrix.n
-    if n < 2:
+    if matrix.n < 2:
         raise ValueError("need at least two objects to build a dendrogram")
-    leaf = np.arange(n) if matrix.leaf is None else np.asarray(matrix.leaf)
-    values = np.asarray(matrix.values, dtype=np.float64)
+    leaf = np.arange(matrix.n) if matrix.leaf is None else np.asarray(matrix.leaf)
+    # a read-only view, so the loop gathers its own work copy
+    values = np.asarray(matrix.values, dtype=np.float64).view()
+    values.flags.writeable = False
+    return _dendrogram(values, leaf)
+
+
+def _dendrogram(values: np.ndarray, leaf: np.ndarray) -> Dendrogram:
+    """`build_dendrogram` over `values` (p x p) and `leaf`; a writeable
+    `values` is consumed when every slot is one row."""
     merges = np.rec.array(
         _agglomerate(values, leaf, {}), formats="i8,i8,i8,f8", names="left,right,new_id,similarity"
     )
     merges.flags.writeable = False
-    return Dendrogram(n_leaves=n, merges=merges)
+    return Dendrogram(n_leaves=leaf.size, merges=merges)
 
 
 def _average(sa, va, sb, vb):
@@ -142,7 +154,8 @@ def _replay(events: list[tuple[int, int, int, float]], c: int, row: np.ndarray) 
 
 def _compressed(values: np.ndarray, groups: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The safety rule: which groups (rows of `values` shared by two or more
-    objects, windows [lo, hi]) are kept as one slot."""
+    objects, windows [lo, hi]) are kept as one slot. Reads `values`
+    SAFETY_BLOCK rows at a time."""
     # one window per group, except that equal single values share one
     tag = np.where(lo == hi, -1.0, np.arange(lo.size))
     windows, inverse = np.unique(np.column_stack([lo, hi, tag]), axis=0, return_inverse=True)
@@ -151,15 +164,21 @@ def _compressed(values: np.ndarray, groups: np.ndarray, lo: np.ndarray, hi: np.n
     reach = np.maximum.accumulate(whi)
     # windows sorted by lo overlap iff one starts before an earlier one ends
     split = (wlo <= np.concatenate(([-np.inf], reach[:-1]))) | (whi >= np.concatenate((wlo[1:], [np.inf])))
-    near = values >= wlo[0]
-    np.fill_diagonal(near, False)
-    entries = values[near]
-    inside = np.unique(entries[entries <= reach[np.searchsorted(wlo, entries, side="right") - 1]])
-    split |= np.searchsorted(inside, whi, side="right") > np.searchsorted(inside, wlo, side="left")
+    # an off-diagonal entry inside a window that overlaps none lies in the
+    # last window starting at or below it; the overlapping ones are split
+    # already. Each group row's off-diagonal maximum is kept too.
+    offmax = np.empty(groups.size)
+    for a in range(0, values.shape[0], SAFETY_BLOCK):
+        block = values[a : a + SAFETY_BLOCK].copy()
+        diagonal = np.arange(block.shape[0])
+        block[diagonal, a + diagonal] = -np.inf
+        entries = block[block >= wlo[0]]
+        at = np.searchsorted(wlo, entries, side="right") - 1
+        split[at[entries <= whi[at]]] = True
+        mine = (groups >= a) & (groups < a + SAFETY_BLOCK)
+        offmax[mine] = block[groups[mine] - a].max(axis=1)
     # a group row reaching its own window off the diagonal
-    rows = values[groups]
-    rows[np.arange(groups.size), groups] = -np.inf
-    split = split[inverse] | (rows.max(axis=1) >= lo)
+    split = split[inverse] | (offmax >= lo)
     return np.bincount(inverse, weights=split, minlength=windows.shape[0])[inverse] == 0
 
 
@@ -167,13 +186,19 @@ def _agglomerate(
     values: np.ndarray, leaf: np.ndarray, memo: dict, window: list | None = None
 ) -> list[tuple[int, int, int, float]]:
     """The merges (left, right, new_id, similarity) of `build_dendrogram`;
-    `window`, if given, is widened to every live value the loop holds."""
+    `window`, if given, is widened to every live value the loop holds.
+
+    When slot r is row r for every row and `values` is writeable, `values`
+    itself becomes the loop's `work` array and is overwritten, so everything
+    the loop needs from it is read first; otherwise `work` is gathered, s x s.
+    """
     n = leaf.size
     counts = np.bincount(leaf, minlength=values.shape[0])
     order = np.argsort(leaf, kind="stable")
     starts = np.cumsum(counts) - counts
     groups = np.flatnonzero(counts > 1)
-    intra = [_intra(int(counts[g]), float(values[g, g]), memo) for g in groups]
+    self_sim = values[groups, groups].tolist()
+    intra = [_intra(int(counts[g]), sim, memo) for g, sim in zip(groups, self_sim)]
     whole = np.zeros(values.shape[0], dtype=bool)
     if groups.size:
         lo, hi = np.array([w[1:] for w in intra]).T
@@ -184,16 +209,19 @@ def _agglomerate(
     slot_obj = np.flatnonzero(opens)
     slot_row = leaf[slot_obj]
     s = slot_obj.size
-    work = values[np.ix_(slot_row, slot_row)]
-    np.fill_diagonal(work, -np.inf)
     size = np.where(whole[slot_row], counts[slot_row], 1).tolist()
     region = slot_obj.tolist()
     # kept groups by self-similarity, highest first; a tie goes to the lower slot
     pending = sorted(
-        (-float(values[g, g]), int(np.searchsorted(slot_obj, order[starts[g]])), t)
+        (-self_sim[t], int(np.searchsorted(slot_obj, order[starts[g]])), t)
         for t, g in enumerate(groups)
         if whole[g]
     )
+    if values.flags.writeable and np.array_equal(slot_row, np.arange(values.shape[0])):
+        work = values
+    else:
+        work = values[np.ix_(slot_row, slot_row)]
+    np.fill_diagonal(work, -np.inf)
     rowarg = np.argmax(work, axis=1)
     rowmax = work[np.arange(s), rowarg]
     off = np.zeros(s)  # -inf at dead slots
@@ -280,12 +308,11 @@ def lwea(
     """
     if report is None:
         report = annotate_validity(view, theta)
-    matrix = build_lwca(view, report)
-    cut = cut_dendrogram(build_dendrogram(matrix), k)
+    cut = cut_dendrogram(_dendrogram(*_lwca(view, report)), k)
     return ConsensusResult(labels=cut.labels, k=k, method="lwea")
 
 
 def eac(view: EnsembleView, k: int) -> ConsensusResult:
     """Classic evidence accumulation: plain co-association + average link."""
-    cut = cut_dendrogram(build_dendrogram(build_ca(view)), k)
+    cut = cut_dendrogram(_dendrogram(*_ca(view)), k)
     return ConsensusResult(labels=cut.labels, k=k, method="eac")

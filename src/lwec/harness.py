@@ -15,8 +15,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from .ensemble import EnsembleView, LabelMatrix, _parse_table, _write_text, build_ensemble_view
-from .evidence import build_dendrogram, cut_dendrogram, eac, lwea
-from .coassoc import build_lwca, build_ca
+from .evidence import _dendrogram, cut_dendrogram
+from .coassoc import _ca, _lwca
 from .graphcut import lwgp
 from .kmeans import kmeans
 from .validity import annotate_validity
@@ -283,10 +283,10 @@ def _score_methods(
     ks = list(range(2, sqrt_k_ceiling(truth.size) + 1)) if best_k else [k]
     report = annotate_validity(view, theta)
     scores: dict[str, float] = {}
-    lw_dendro = build_dendrogram(build_lwca(view, report))
+    lw_dendro = _dendrogram(*_lwca(view, report))
     scores["lwea"] = max(nmi(cut_dendrogram(lw_dendro, kk).labels, truth) for kk in ks)
     if with_eac:
-        ca_dendro = build_dendrogram(build_ca(view))
+        ca_dendro = _dendrogram(*_ca(view))
         scores["eac"] = max(nmi(cut_dendrogram(ca_dendro, kk).labels, truth) for kk in ks)
     graph_ks = [kk for kk in ks if kk <= min(truth.size, view.n_clusters)] or ks[:1]
     scores["lwgp"] = max(

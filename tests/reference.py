@@ -293,13 +293,31 @@ def ncut_value(affinity: np.ndarray, obj_labels, cl_labels, k: int) -> float:
     return float(((vol - assoc) / vol).sum())
 
 
+def _assignment_blocks(nc: int, k: int):
+    """The cluster-node assignments of itertools.product(range(k), repeat=nc),
+    in that order, as one-hot (assignments, nc, k) stacks of 2^12 at a time."""
+    place = k ** np.arange(nc - 1, -1, -1)
+    for start in range(0, k**nc, 1 << 12):
+        digits = np.arange(start, min(start + (1 << 12), k**nc))[:, None] // place % k
+        yield (digits[:, :, None] == np.arange(k)).astype(np.float64)
+
+
+def _stacked_ncuts(b: np.ndarray, zo: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """`ncut_value` of each one-hot object and cluster assignment in the stacks
+    `zo` and `zc` (either may be a single one), by the same products, so each
+    is the same float."""
+    zo_t, zc_t = np.swapaxes(zo, -1, -2), np.swapaxes(zc, -1, -2)
+    vol = zo_t @ b.sum(axis=1) + zc_t @ b.sum(axis=0)
+    assoc = 2.0 * np.diagonal(zo_t @ b @ zc, axis1=-2, axis2=-1)
+    ncuts = ((vol - assoc) / np.where(vol > 0, vol, 1.0)).sum(axis=-1)
+    return np.where((vol > 0).all(axis=-1), ncuts, math.inf)
+
+
 def best_completion_ncut(affinity: np.ndarray, obj_labels, k: int) -> float:
     """Minimum ncut over all assignments of the cluster nodes, object labels fixed."""
-    nc = affinity.shape[1]
-    best = math.inf
-    for assignment in itertools.product(range(k), repeat=nc):
-        best = min(best, ncut_value(affinity, obj_labels, assignment, k))
-    return best
+    b = np.asarray(affinity, dtype=np.float64)
+    zo = (np.asarray(obj_labels)[:, None] == np.arange(k)).astype(np.float64)
+    return min(float(_stacked_ncuts(b, zo, zc).min()) for zc in _assignment_blocks(b.shape[1], k))
 
 
 def exhaustive_ncut_k2(affinity: np.ndarray) -> float:
@@ -337,14 +355,10 @@ def induced_partition_optimum(affinity: np.ndarray, k: int) -> float:
     the largest share of its edge weight (ties to the lowest segment id).
     """
     b = np.asarray(affinity, dtype=np.float64)
-    nc = b.shape[1]
     best = math.inf
-    for assignment in itertools.product(range(k), repeat=nc):
-        zc = np.zeros((nc, k))
-        zc[np.arange(nc), assignment] = 1.0
-        pull = b @ zc
-        obj_labels = pull.argmax(axis=1)
-        best = min(best, ncut_value(b, obj_labels, np.asarray(assignment), k))
+    for zc in _assignment_blocks(b.shape[1], k):
+        zo = ((b @ zc).argmax(axis=2)[:, :, None] == np.arange(k)).astype(np.float64)
+        best = min(best, float(_stacked_ncuts(b, zo, zc).min()))
     return best
 
 

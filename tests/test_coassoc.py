@@ -176,6 +176,25 @@ class TestMicroclusterStorage:
         assert ca.leaf.tolist() == [0, 1, 0, 2, 1]
 
 
+    def test_view_sorts_its_columns_once(self, monkeypatch):
+        view = build_ensemble_view(LabelMatrix.from_array(random_label_array(np.random.default_rng(8), 40, 4)))
+        report = annotate_validity(view, 0.4)
+        sorted_columns = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            if np.shares_memory(a, view.labels.labels):
+                sorted_columns.append(a)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        # a harness draw scores each view with both builders
+        build_lwca(view, report)
+        build_ca(view)
+        assert len(sorted_columns) == view.n_clusterings
+        assert not any(members.flags.writeable for members in view.members())
+
+
 class TestTriangleScatter:
     """Each cluster adds to one triangle of the stored matrix, a few rows per
     call, which is then mirrored in blocks of rows: on ensembles where no

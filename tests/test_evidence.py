@@ -22,8 +22,10 @@ from lwec import (
     make_gaussian_blobs,
 )
 
+from lwec.evidence import _dendrogram, _intra
+
 import reference as ref
-from conftest import label_arrays, random_label_array
+from conftest import blob_voronoi_view, label_arrays, random_label_array
 
 
 def sym_matrix(values) -> CoassocMatrix:
@@ -139,7 +141,11 @@ class TestMicroclusters:
 
     @staticmethod
     def assert_dense_loop(matrix):
-        assert merge_tuples(build_dendrogram(matrix)) == ref.average_link_argmax_ref(matrix.dense())
+        expected = ref.average_link_argmax_ref(matrix.dense())
+        assert merge_tuples(build_dendrogram(matrix)) == expected
+        # the path of lwea and eac, on a writeable copy it may consume
+        leaf = np.arange(matrix.n) if matrix.leaf is None else matrix.leaf
+        assert merge_tuples(_dendrogram(np.array(matrix.values), leaf)) == expected
 
     def test_worked_example_stores_one_row_per_distinct_label_row(self, worked_view):
         matrix = build_ca(worked_view)
@@ -178,6 +184,15 @@ class TestMicroclusters:
         # a hand-built row may exceed its diagonal; object 0 then joins object 2 first
         self.assert_dense_loop(CoassocMatrix(np.array([[0.2, 0.9], [0.9, 1.0]]), "ca", np.array([0, 0, 1])))
 
+    def test_group_window_holding_another_pair_is_split(self):
+        # the 4 x 4 loop of four objects at s also holds a value one ulp
+        # below s, and objects 4 and 5 meet at s, inside that window
+        s = 0.7065469048855986
+        _, low, high = _intra(4, s, {})
+        assert low < high == s
+        values = np.array([[s, 0.01, 0.02], [0.01, 1.0, s], [0.02, s, 1.0]])
+        self.assert_dense_loop(CoassocMatrix(values, "lwca", np.array([0, 0, 0, 0, 1, 2])))
+
     def test_single_group(self):
         self.assert_dense_loop(CoassocMatrix(np.array([[0.7]]), "lwca", np.zeros(9, dtype=np.int64)))
 
@@ -202,6 +217,127 @@ class TestMicroclusters:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 2
+
+
+class TestInPlaceLoop:
+    """`lwea` and `eac` hand their freshly built matrix to the loop, which
+    works in that buffer when every slot is one row; public
+    `build_dendrogram` leaves its input as it was."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])  # repeated label rows (p < N), then none (p = N)
+    def test_lwea_memory_within_one_and_a_half_matrices(self, noise):
+        n = 4000
+        view = blob_voronoi_view(n, np.rint(np.linspace(2, 64, 40)).astype(int), 4, noise=noise)
+        report = annotate_validity(view, 0.4)
+        assert report.eci.all()
+        p = np.unique(view.cluster_ids, axis=0).shape[0]
+        assert p < 0.9 * n if noise == 0 else p == n
+        view.members()  # kept by the view, as the report's table is
+        tracemalloc.start()
+        try:
+            lwea(view, 3, report=report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the matrix and build_lwca's scatter temporaries; the loop adds no p x p copy
+        assert peak <= 1.4 * p * p * 8
+
+    @pytest.mark.parametrize("kind", ["ca", "lwca"])
+    def test_public_call_leaves_the_matrix_alone(self, kind):
+        view = blob_voronoi_view(300, [2, 4, 7, 11, 16], 2, noise=0.1)
+        matrix = build_ca(view) if kind == "ca" else build_lwca(view, annotate_validity(view, 0.4))
+        before = matrix.values.tobytes()
+        build_dendrogram(matrix)
+        assert matrix.values.tobytes() == before
+        assert not matrix.values.flags.writeable
+
+    def test_public_call_leaves_a_writeable_matrix_alone(self):
+        values = random_similarity(np.random.default_rng(3), 30)
+        before = values.copy()
+        build_dendrogram(sym_matrix(values))
+        assert np.array_equal(values, before)
+        assert values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values, leaf, consumed",
+        [
+            # a pair tied by another entry, and a pair whose row passes its
+            # diagonal: the rule splits each, so s = 3 > p = 2 and the loop gathers
+            ([[0.5, 0.5], [0.5, 1.0]], [0, 0, 1], False),
+            ([[0.2, 0.9], [0.9, 1.0]], [0, 0, 1], False),
+            # a kept pair and a singleton: s = p = 2
+            ([[0.9, 0.3], [0.3, 1.0]], [0, 0, 1], True),
+            # one row per object
+            ([[1.0, 0.4, 0.2], [0.4, 1.0, 0.7], [0.2, 0.7, 1.0]], [0, 1, 2], True),
+        ],
+    )
+    def test_private_path_consumes_only_when_every_slot_is_one_row(self, values, leaf, consumed):
+        matrix = CoassocMatrix(np.array(values), "ca", np.array(leaf))
+        expected = ref.average_link_argmax_ref(matrix.dense())
+        assert merge_tuples(build_dendrogram(matrix)) == expected
+        buffer = np.array(values)
+        assert merge_tuples(_dendrogram(buffer, matrix.leaf)) == expected
+        assert np.isneginf(np.diag(buffer)).all() == consumed
+
+    def test_lwea_and_eac_consume_a_no_repeat_matrix(self, monkeypatch):
+        import lwec.evidence as evidence
+
+        seen = []
+
+        def keeping(values, leaf):
+            seen.append(values)
+            return _dendrogram(values, leaf)
+
+        monkeypatch.setattr(evidence, "_dendrogram", keeping)
+        view = blob_voronoi_view(200, [4, 7, 11, 16, 23, 30, 40], 5, noise=0.3)
+        assert np.unique(view.cluster_ids, axis=0).shape[0] == 200
+        lwea(view, 3, theta=0.4)
+        eac(view, 3)
+        assert len(seen) == 2
+        assert all(values.shape == (200, 200) and np.isneginf(np.diag(values)).all() for values in seen)
+
+
+def edge_reference(view, k, weights):
+    """Labels of the dense pipeline: N x N accumulation, full-argmax loop, cut."""
+    merges = ref.average_link_argmax_ref(ref.coassoc_dense_ref(view, weights))
+    return ref.cut_ref(merges, view.n_objects, k)
+
+
+class TestEdgeCases:
+    """lwea and eac agree with the reference pipeline at the edges, or raise
+    a named error."""
+
+    CASES = {
+        "single column": np.array([[0], [1], [0], [2], [1], [1], [2], [0]]),
+        "single all-singleton column": np.arange(7)[:, None],
+        # every label row distinct: s = p = N, the loop works in the matrix
+        "all-singleton column": np.column_stack([np.arange(9), [0, 0, 1, 1, 2, 2, 0, 1, 2], [0, 1] * 4 + [1]]),
+        "repeated columns": np.column_stack([[0, 1, 1, 0, 2, 2, 0]] * 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("theta", [0.4, None])  # None: eac
+    def test_every_k_against_reference(self, name, theta):
+        view = build_ensemble_view(LabelMatrix.from_array(self.CASES[name]))
+        n = view.n_objects
+        weights = np.ones(view.n_clusters) if theta is None else annotate_validity(view, theta).eci
+        for k in range(1, n + 1):
+            got = eac(view, k) if theta is None else lwea(view, k, theta=theta)
+            assert np.array_equal(got.labels, edge_reference(view, k, weights)), k
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_k_equal_to_the_pooled_cluster_count(self, name):
+        view = build_ensemble_view(LabelMatrix.from_array(self.CASES[name]))
+        k = view.n_clusters
+        if k > view.n_objects:
+            with pytest.raises(ValueError, match="k must be in"):
+                lwea(view, k, theta=0.4)
+            with pytest.raises(ValueError, match="k must be in"):
+                eac(view, k)
+            return
+        report = annotate_validity(view, 0.4)
+        assert np.array_equal(lwea(view, k, report=report).labels, edge_reference(view, k, report.eci))
+        assert np.array_equal(eac(view, k).labels, edge_reference(view, k, np.ones(k)))
 
 
 class TestCutDendrogram:

@@ -1,5 +1,6 @@
 """Bipartite graph construction and the transfer-cut partitioner."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -165,6 +166,27 @@ class TestTcutPartition:
         achieved, optimum = np.array(achieved), np.array(optimum)
         assert (achieved > optimum * 1.05 + 1e-12).sum() <= 2
         assert (achieved <= optimum * 1.10 + 1e-12).all()
+
+
+def test_assignment_oracles_equal_scoring_each_assignment():
+    # the oracles score cluster assignments in blocks; one by one they are these loops
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        n, m = int(rng.integers(4, 9)), int(rng.integers(1, 3))
+        view = build_ensemble_view(LabelMatrix.from_array(random_label_array(rng, n, m, max_clusters=3)))
+        b = ref.affinity_ref(graph_from(view, theta=0.4))
+        nc = b.shape[1]
+        for k in (2, 3):
+            obj_labels = rng.integers(0, k, size=n)
+            induced, completion = np.inf, np.inf
+            for assignment in itertools.product(range(k), repeat=nc):
+                zc = np.zeros((nc, k))
+                zc[np.arange(nc), assignment] = 1.0
+                cl_labels = np.asarray(assignment)
+                induced = min(induced, ref.ncut_value(b, (b @ zc).argmax(axis=1), cl_labels, k))
+                completion = min(completion, ref.ncut_value(b, obj_labels, cl_labels, k))
+            assert ref.induced_partition_optimum(b, k) == induced
+            assert ref.best_completion_ncut(b, obj_labels, k) == completion
 
 
 def k2_instances():

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from lwec import (
     ExperimentConfig,
-    build_ca,
-    build_lwca,
     draw_ensemble,
     generate_pool,
     kmeans,
@@ -271,12 +269,13 @@ class TestExperiment:
         import lwec.harness as harness
 
         calls = []
+        plain = harness._ca
 
-        def counting_build_ca(view):
+        def counting_ca(view):
             calls.append(view)
-            return build_ca(view)
+            return plain(view)
 
-        monkeypatch.setattr(harness, "build_ca", counting_build_ca)
+        monkeypatch.setattr(harness, "_ca", counting_ca)
         x, y = make_gaussian_blobs(60, [[0, 0], [4, 4], [8, 0]], spread=1.8, seed=5)
         config = ExperimentConfig(
             pool_size=10, ensemble_size=4, runs=2, seed=23, theta_grid=(0.2, 0.4, 1.0)
@@ -303,12 +302,13 @@ class TestExperiment:
         import lwec.harness as harness
 
         calls = []
+        weighted = harness._lwca
 
-        def counting_build_lwca(view, report):
+        def counting_lwca(view, report):
             calls.append(report)
-            return build_lwca(view, report)
+            return weighted(view, report)
 
-        monkeypatch.setattr(harness, "build_lwca", counting_build_lwca)
+        monkeypatch.setattr(harness, "_lwca", counting_lwca)
         x, y = blobs
         grid = (0.2, 0.4, 1.0, 0.2)
         config = ExperimentConfig(pool_size=10, ensemble_size=4, runs=2, seed=23, theta_grid=grid)
@@ -503,17 +503,18 @@ def test_golden_report_with_repeated_grid_values(monkeypatch, k_policy):
     import lwec.harness as harness
 
     calls = {"ca": 0, "lwca": 0}
+    plain, weighted = harness._ca, harness._lwca
 
-    def counting_build_ca(view):
+    def counting_ca(view):
         calls["ca"] += 1
-        return build_ca(view)
+        return plain(view)
 
-    def counting_build_lwca(view, report):
+    def counting_lwca(view, report):
         calls["lwca"] += 1
-        return build_lwca(view, report)
+        return weighted(view, report)
 
-    monkeypatch.setattr(harness, "build_ca", counting_build_ca)
-    monkeypatch.setattr(harness, "build_lwca", counting_build_lwca)
+    monkeypatch.setattr(harness, "_ca", counting_ca)
+    monkeypatch.setattr(harness, "_lwca", counting_lwca)
     x, y = make_gaussian_blobs(60, [[0, 0], [4, 4], [8, 0]], spread=1.8, seed=5)
     config = ExperimentConfig(
         pool_size=10, ensemble_size=4, runs=2, seed=23, k_policy=k_policy,
