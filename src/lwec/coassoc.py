@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .ensemble import EnsembleView, _write_text
+from .ensemble import EnsembleView, _write_text, relabel_first_appearance
 from .validity import ValidityReport
 
 __all__ = ["CoassocMatrix", "build_ca", "build_lwca", "write_lower_triangle"]
@@ -77,11 +77,9 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
     for column in np.where(weights[view.cluster_ids] > 0, view.cluster_ids, -1).T:
         _, key = np.unique(key * (view.n_clusters + 1) + column + 1, return_inverse=True)
     # then renumber them by smallest member, the row's representative
-    first = np.unique(key, return_index=True)[1]
+    leaf = relabel_first_appearance(key)
+    first = np.unique(leaf, return_index=True)[1]
     p = first.size
-    rank = np.empty(p, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(p)
-    leaf = rank[key]
     is_rep = np.zeros(view.n_objects, dtype=bool)
     is_rep[first] = True
     # a cluster's rows come out ascending, since rows are numbered by their

@@ -58,13 +58,12 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     entries are at most S_g, so the dense loop merges them among themselves
     once S_g leads, as it would a c x c matrix filled with S_g, before any
     joins another region. Those merges are not all at S_g: averages such as
-    (2S + S)/3 round. So g is one slot of size c, and when S_g leads (it
-    beats the best live `rowmax`, or ties it from a row no later than that
-    one; equal S_g complete lowest slot first) g completes: its intra merges,
-    the c x c dendrogram memoised per (c, S_g), are emitted in sequence, and
-    their recurrence is replayed elementwise on row g. That dendrogram is
-    the chain of members in index order, all at S_g, when no average of S_g
-    rounds, and otherwise this loop on the c x c matrix.
+    (2S + S)/3 round. So g is one slot of size c with S_g on its diagonal;
+    when the argmax lands there, g completes: its intra merges, the c x c
+    dendrogram memoised per (c, S_g), are emitted, its diagonal becomes
+    -inf, and their recurrence is replayed elementwise on row g. That
+    dendrogram is the chain of members in index order, all at S_g, when no
+    average of S_g rounds, and otherwise this loop on the c x c matrix.
 
     Safety rule, applied before the loop: a group's window runs from the
     lowest to the highest live value its c x c loop holds. The group stays
@@ -76,14 +75,13 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     there are no groups and this is the plain loop.
 
     Cache: for every live slot r, `rowmax[r]` is the maximum of `work[r]`
-    over live columns and `rowarg[r]` the first such column holding it; dead
-    slots hold -inf and -1, and their stale columns in `work` are masked by
-    adding `off` (-inf there, 0 elsewhere). The first row holding the
-    largest `rowmax` and its `rowarg` are then the pair a row-major argmax
-    over the live submatrix picks. A merge or completion changes only
-    columns i and j of the other rows, so a row keeps its cache or takes
-    column i unless its cached column lost its maximum; only those rows and
-    row i are rescanned.
+    over live columns and `rowarg[r]` the first column holding it (dead
+    slots hold -inf and -1; `off`, -inf at dead columns, masks their stale
+    entries), so the first row holding the largest `rowmax` and its `rowarg`
+    are what a row-major argmax over the live submatrix picks. A merge or
+    completion changes only columns i and j of the other rows: a row takes
+    column i if it now leads there, and is rescanned, as row i is, if its
+    cached column lost its maximum.
 
     Cost, for s slots (the number of distinct label rows unless the safety
     rule splits a group): O(s) per merge plus O(s) per rescanned row, so
@@ -197,11 +195,10 @@ def _agglomerate(
     order = np.argsort(leaf, kind="stable")
     starts = np.cumsum(counts) - counts
     groups = np.flatnonzero(counts > 1)
-    self_sim = values[groups, groups].tolist()
-    intra = [_intra(int(counts[g]), sim, memo) for g, sim in zip(groups, self_sim)]
+    intra = {g: _intra(int(counts[g]), float(values[g, g]), memo) for g in groups.tolist()}
     whole = np.zeros(values.shape[0], dtype=bool)
     if groups.size:
-        lo, hi = np.array([w[1:] for w in intra]).T
+        lo, hi = np.array([w[1:] for w in intra.values()]).T
         whole[groups] = _compressed(values, groups, lo, hi)
     # a kept group is one slot at its smallest member; other objects are slots
     opens = ~whole[leaf]
@@ -211,41 +208,37 @@ def _agglomerate(
     s = slot_obj.size
     size = np.where(whole[slot_row], counts[slot_row], 1).tolist()
     region = slot_obj.tolist()
-    # kept groups by self-similarity, highest first; a tie goes to the lower slot
-    pending = sorted(
-        (-self_sim[t], int(np.searchsorted(slot_obj, order[starts[g]])), t)
-        for t, g in enumerate(groups)
-        if whole[g]
-    )
     if values.flags.writeable and np.array_equal(slot_row, np.arange(values.shape[0])):
         work = values
     else:
         work = values[np.ix_(slot_row, slot_row)]
-    np.fill_diagonal(work, -np.inf)
+    # a kept group's diagonal holds its self-similarity until it completes
+    np.fill_diagonal(work, np.where(whole[slot_row], work.diagonal(), -np.inf))
     rowarg = np.argmax(work, axis=1)
     rowmax = work[np.arange(s), rowarg]
     off = np.zeros(s)  # -inf at dead slots
     merges: list[tuple[int, int, int, float]] = []
-    q = 0
     while len(merges) < n - 1:
         # slot r always holds the region whose smallest member is slot_obj[r],
         # so the first row and column holding the maximum are the tie-break winner
         i = int(rowmax.argmax())
-        if q < len(pending) and (-pending[q][0], -pending[q][1]) >= (rowmax[i], -i):
-            # the group in slot i completes: emit its intra merges, replay them on row i
-            _, i, t = pending[q]
-            q += 1
-            events = intra[t][0]
-            g, base = groups[t], n + len(merges)
+        j = int(rowarg[i])
+        if i == j:
+            # the group in slot i leads: emit its intra merges, replay them on row i
+            g, base = int(slot_row[i]), n + len(merges)
+            events = intra[g][0]
             ids = order[starts[g] : starts[g] + counts[g]].tolist() + list(range(base, base + len(events)))
             merges.extend((ids[a], ids[b], ids[e], sim) for a, b, e, sim in events)
             region[i] = ids[-1]
+            work[i, i] = -np.inf
             if len(events) == 1:
-                continue  # a pair replays to its own row: nothing changes
+                # a pair replays to its own row: only row i's cache changes
+                block = work[i] + off
+                rowarg[i] = block.argmax()
+                rowmax[i] = block[rowarg[i]]
+                continue
             merged = _replay(events, len(events) + 1, work[i])
-            j = i
         else:
-            j = int(rowarg[i])
             merges.append((region[i], region[j], n + len(merges), float(work[i, j])))
             off[j] = -np.inf
             rowmax[j] = -np.inf

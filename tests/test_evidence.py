@@ -193,6 +193,21 @@ class TestMicroclusters:
         values = np.array([[s, 0.01, 0.02], [0.01, 1.0, s], [0.02, s, 1.0]])
         self.assert_dense_loop(CoassocMatrix(values, "lwca", np.array([0, 0, 0, 0, 1, 2])))
 
+    @pytest.mark.parametrize("group_first", [True, False])
+    def test_group_tying_a_pair_completes_only_from_an_earlier_row(self, group_first):
+        # a three-member group at S = 0.5 (its chain stays at 0.5) and objects
+        # a, b, x: a joins b at 0.9, then ab meets x at (0.9 + 0.1) / 2 = 0.5,
+        # a tie the dense loop breaks by row: the group wins when its rows come first
+        objects = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.1], [0.9, 0.1, 1.0]])
+        values = np.full((4, 4), 0.2)
+        if group_first:
+            values[0, 0], values[1:, 1:], leaf = 0.5, objects, [0, 0, 0, 1, 2, 3]
+        else:
+            values[3, 3], values[:3, :3], leaf = 0.5, objects, [0, 1, 2, 3, 3, 3]
+        _, low, high = _intra(3, 0.5, {})
+        assert low == high == 0.5
+        self.assert_dense_loop(CoassocMatrix(values, "lwca", np.array(leaf)))
+
     def test_single_group(self):
         self.assert_dense_loop(CoassocMatrix(np.array([[0.7]]), "lwca", np.zeros(9, dtype=np.int64)))
 
