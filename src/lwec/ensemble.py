@@ -34,12 +34,27 @@ class DegenerateClusteringWarning(UserWarning):
 
 
 def _dense_remap(column: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Remap arbitrary integer labels to dense 0-based ids, in order of first appearance."""
-    uniq, first, inverse = np.unique(column, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[order] = np.arange(uniq.size)
-    return rank[inverse], tuple(int(v) for v in uniq[order])
+    """Remap arbitrary integer labels to dense 0-based ids, in order of first appearance.
+
+    No sort of the column: one reversed scatter of positions into a table
+    indexed by label leaves each label's first position (numpy assigns repeated
+    indices in order, so the earliest position is written last), and only the
+    distinct labels are then argsorted by it. A column with a negative label or
+    a label >= 2N is first compressed by `np.unique(..., return_inverse=True)`,
+    so the table never exceeds 2N entries.
+    """
+    col = np.asarray(column)
+    n = col.size
+    uniq = None
+    if n and (col.min() < 0 or col.max() >= 2 * n):
+        uniq, col = np.unique(col, return_inverse=True)
+    first = np.full(int(col.max()) + 1 if n else 0, n, dtype=np.int64)
+    first[col[::-1]] = np.arange(n - 1, -1, -1)
+    present = np.flatnonzero(first < n)
+    order = present[np.argsort(first[present])]
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank[col], tuple((order if uniq is None else uniq[order]).tolist())
 
 
 def relabel_first_appearance(labels: np.ndarray) -> np.ndarray:
@@ -211,6 +226,12 @@ def parse_label_matrix(source: str | IO[str] | Iterable[str]) -> LabelMatrix:
     skipped, as in every lwec file. Raises ValueError on empty input, or naming
     the first bad line: a later '#' row, a ragged row, a non-integer or negative
     cell. A single-label column is accepted but flagged with DegenerateClusteringWarning.
+
+    The rows are parsed in one C-level `np.loadtxt` pass. Whatever that pass
+    refuses (every fault, and cells only Python's `int()` takes, such as
+    '1_0') falls back to a Python walk over the rows, which returns the same
+    matrix or names the first bad line; an id past int64 is reported only
+    after every row passed its checks.
     """
     return LabelMatrix.from_array(_parse_table(source, int, "label matrix"))
 
@@ -226,39 +247,39 @@ def _parse_table(source: str | IO[str] | Iterable[str], cast: type, what: str, w
         raise ValueError(f"empty {what}")
     rows = [row for _, row in numbered]
     width = width or rows[0].count(",") + 1
-    # one cast pass over every cell; a '#' row fails it, and int() and
-    # float() ignore the whitespace around a cell
+    dtype = np.int64 if cast is int else np.float64
     try:
-        values = list(map(cast, ",".join(rows).split(",")))
-    except ValueError:
-        values = None
-    if values is None or (cast is int and min(values) < 0) or any(row.count(",") != width - 1 for row in rows):
-        raise ValueError(next(filter(None, (_row_error(lineno, row, cast, width) for lineno, row in numbered))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy reads '1.0' as an int, with only a DeprecationWarning
+            table = np.loadtxt(rows, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+        if table.shape[1] == width and (cast is float or table.min() >= 0):
+            return table
+    except (ValueError, OverflowError, Warning):
+        pass
+    # the C pass refused the table: walk its rows for the first bad line, or
+    # for cells only int() and float() take; both ignore a cell's whitespace
+    values = []
+    for lineno, row in numbered:
+        if row.startswith("#"):
+            raise ValueError(f"line {lineno}: unexpected '#' row (only a single leading header is allowed)")
+        try:
+            values.append([cast(cell) for cell in row.split(",")])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-{'integer' if cast is int else 'numeric'} cell in {row!r}") from None
+        if cast is int and min(values[-1]) < 0:
+            raise ValueError(f"line {lineno}: negative cluster label")
+        if len(values[-1]) != width:
+            raise ValueError(f"line {lineno}: ragged rows ({len(values[-1])} cells, expected {width})")
     try:
-        return np.asarray(values, dtype=np.int64 if cast is int else np.float64).reshape(len(rows), width)
+        return np.array(values, dtype=dtype)
     except OverflowError:  # an int cell past int64
-        cell = next(i for i, v in enumerate(values) if v > np.iinfo(np.int64).max)
-        raise ValueError(f"line {numbered[cell // width][0]}: cluster label too large for int64") from None
-
-
-def _row_error(lineno: int, row: str, cast: type, width: int) -> str | None:
-    """What is wrong with one stripped data row of a table, if anything."""
-    if row.startswith("#"):
-        return f"line {lineno}: unexpected '#' row (only a single leading header is allowed)"
-    try:
-        values = [cast(cell) for cell in row.split(",")]
-    except ValueError:
-        return f"line {lineno}: non-{'integer' if cast is int else 'numeric'} cell in {row!r}"
-    if cast is int and min(values) < 0:
-        return f"line {lineno}: negative cluster label"
-    if len(values) != width:
-        return f"line {lineno}: ragged rows ({len(values)} cells, expected {width})"
-    return None
+        lineno = next(lineno for (lineno, _), row in zip(numbered, values) if max(row) > np.iinfo(np.int64).max)
+        raise ValueError(f"line {lineno}: cluster label too large for int64") from None
 
 
 def write_label_matrix(matrix: LabelMatrix, out: str | IO[str]) -> None:
     """Serialize dense labels as CSV (the same wire format parse accepts)."""
-    text = "\n".join(",".join(str(v) for v in row) for row in matrix.labels) + "\n"
+    text = "\n".join(",".join(map(str, row)) for row in matrix.labels.tolist()) + "\n"
     _write_text(text, out)
 
 
@@ -269,4 +290,4 @@ def read_labels(source: str | IO[str] | Iterable[str]) -> np.ndarray:
 
 def write_labels(labels: np.ndarray, out: str | IO[str]) -> None:
     """Write one integer label per line (0-based)."""
-    _write_text("\n".join(str(int(v)) for v in np.asarray(labels)) + "\n", out)
+    _write_text("\n".join(map(str, np.asarray(labels, dtype=np.int64).tolist())) + "\n", out)

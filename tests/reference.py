@@ -320,28 +320,35 @@ def best_completion_ncut(affinity: np.ndarray, obj_labels, k: int) -> float:
     return min(float(_stacked_ncuts(b, zo, zc).min()) for zc in _assignment_blocks(b.shape[1], k))
 
 
+def _bit_rows(start: int, stop: int, width: int) -> np.ndarray:
+    """Rows start..stop-1 of the binary counting table: row r holds r's low
+    `width` bits, least significant first, as 0.0/1.0."""
+    return ((np.arange(start, stop)[:, None] >> np.arange(width)) & 1).astype(np.float64)
+
+
 def exhaustive_ncut_k2(affinity: np.ndarray) -> float:
-    """Exact optimum over all 2-partitions of the full node set, vectorized over
-    blocks of 2^15 partitions so that memory stays O(2^15 x nodes)."""
+    """Exact optimum over all 2-partitions of the full node set.
+
+    The graph is bipartite, so a partition's side-1 association is
+    2 x_o^T B x_c for its object mask x_o and cluster mask x_c. Object masks
+    (object 0 pinned to side 0) and cluster masks are enumerated apart: B x_c
+    for every cluster mask is one (objects x n_c) @ (n_c x 2^n_c) product, and
+    one more product scores each block of object masks against all of them,
+    2^18 partitions at a time."""
     b = np.asarray(affinity, dtype=np.float64)
     n, nc = b.shape
-    nodes = n + nc
-    w = np.zeros((nodes, nodes))
-    w[:n, n:] = b
-    w[n:, :n] = b.T
-    d = w.sum(axis=1)
-    total = d.sum()
-    count = 1 << (nodes - 1)  # node 0 pinned to side 0
-    bits = np.arange(nodes - 1, dtype=np.uint64)
+    d_obj, d_cl = b.sum(axis=1), b.sum(axis=0)
+    total = d_obj.sum() + d_cl.sum()
+    xc = _bit_rows(0, 1 << nc, nc)
+    vol_cl = xc @ d_cl
+    b_xc = b[1:] @ xc.T
+    step = max(1, (1 << 18) >> nc)
     best = math.inf
-    for start in range(0, count, 1 << 15):
-        masks = np.arange(start, min(start + (1 << 15), count), dtype=np.uint64)
-        x = np.zeros((masks.size, nodes))
-        x[:, 1:] = (masks[:, None] >> bits) & np.uint64(1)
-        vol1 = x @ d
+    for start in range(0, 1 << (n - 1), step):
+        xo = _bit_rows(start, min(start + step, 1 << (n - 1)), n - 1)
+        vol1 = (xo @ d_obj[1:])[:, None] + vol_cl
         vol0 = total - vol1
-        assoc1 = ((x @ w) * x).sum(axis=1)
-        cut = vol1 - assoc1
+        cut = vol1 - 2.0 * (xo @ b_xc)
         valid = (vol0 > 0) & (vol1 > 0)
         ncuts = np.where(valid, cut / np.where(vol1 > 0, vol1, 1) + cut / np.where(vol0 > 0, vol0, 1), np.inf)
         best = min(best, float(ncuts.min()))
@@ -442,9 +449,10 @@ def refine_partition_loop_ref(
 
 
 # ---------------------------------------------------------------------------
-# the row-by-row label-matrix parser, the N x N co-association accumulation,
-# the full-eigh embedding and the per-cluster k-means step with its eager pool
-# that lwec replaced; kept to check the replacements exactly
+# the row-by-row label-matrix parser, the joined-cell table parser, the sorting
+# label numbering, the node-pair k = 2 cut oracle, the N x N co-association
+# accumulation, the full-eigh embedding and the per-cluster k-means step with
+# its eager pool that lwec replaced; kept to check the replacements exactly
 
 
 def parse_label_matrix_loop_ref(source):
@@ -479,6 +487,90 @@ def parse_label_matrix_loop_ref(source):
     if not rows:
         raise ValueError("empty label matrix")
     return LabelMatrix.from_array(np.asarray(rows, dtype=np.int64))
+
+
+def exhaustive_ncut_k2_node_pairs_ref(affinity: np.ndarray) -> float:
+    """`exhaustive_ncut_k2` as it was: the same optimum from the full
+    (nodes x nodes) product of every partition mask, over blocks of 2^15
+    partitions so that memory stays O(2^15 x nodes)."""
+    b = np.asarray(affinity, dtype=np.float64)
+    n, nc = b.shape
+    nodes = n + nc
+    w = np.zeros((nodes, nodes))
+    w[:n, n:] = b
+    w[n:, :n] = b.T
+    d = w.sum(axis=1)
+    total = d.sum()
+    count = 1 << (nodes - 1)  # node 0 pinned to side 0
+    bits = np.arange(nodes - 1, dtype=np.uint64)
+    best = math.inf
+    for start in range(0, count, 1 << 15):
+        masks = np.arange(start, min(start + (1 << 15), count), dtype=np.uint64)
+        x = np.zeros((masks.size, nodes))
+        x[:, 1:] = (masks[:, None] >> bits) & np.uint64(1)
+        vol1 = x @ d
+        vol0 = total - vol1
+        assoc1 = ((x @ w) * x).sum(axis=1)
+        cut = vol1 - assoc1
+        valid = (vol0 > 0) & (vol1 > 0)
+        ncuts = np.where(valid, cut / np.where(vol1 > 0, vol1, 1) + cut / np.where(vol0 > 0, vol0, 1), np.inf)
+        best = min(best, float(ncuts.min()))
+    return best
+
+
+def parse_table_join_ref(source, cast: type, what: str, width: int = 0) -> np.ndarray:
+    """The one-pass table parser `lwec.ensemble._parse_table` replaced: one
+    `cast` call per cell over all rows joined, then a row walk for the error.
+    Same array, same first error message."""
+    from lwec.ensemble import _read_text
+
+    lines = enumerate(_read_text(source).splitlines(), start=1)
+    numbered = [(lineno, row) for lineno, line in lines if (row := line.strip())]
+    if numbered and numbered[0][1].startswith("#"):
+        numbered = numbered[1:]
+    if not numbered:
+        raise ValueError(f"empty {what}")
+    rows = [row for _, row in numbered]
+    width = width or rows[0].count(",") + 1
+    # one cast pass over every cell; a '#' row fails it, and int() and
+    # float() ignore the whitespace around a cell
+    try:
+        values = list(map(cast, ",".join(rows).split(",")))
+    except ValueError:
+        values = None
+    if values is None or (cast is int and min(values) < 0) or any(row.count(",") != width - 1 for row in rows):
+        raise ValueError(next(filter(None, (_row_error_ref(lineno, row, cast, width) for lineno, row in numbered))))
+    try:
+        return np.asarray(values, dtype=np.int64 if cast is int else np.float64).reshape(len(rows), width)
+    except OverflowError:  # an int cell past int64
+        cell = next(i for i, v in enumerate(values) if v > np.iinfo(np.int64).max)
+        raise ValueError(f"line {numbered[cell // width][0]}: cluster label too large for int64") from None
+
+
+def _row_error_ref(lineno: int, row: str, cast: type, width: int) -> str | None:
+    """What is wrong with one stripped data row of a table, if anything."""
+    if row.startswith("#"):
+        return f"line {lineno}: unexpected '#' row (only a single leading header is allowed)"
+    try:
+        values = [cast(cell) for cell in row.split(",")]
+    except ValueError:
+        return f"line {lineno}: non-{'integer' if cast is int else 'numeric'} cell in {row!r}"
+    if cast is int and min(values) < 0:
+        return f"line {lineno}: negative cluster label"
+    if len(values) != width:
+        return f"line {lineno}: ragged rows ({len(values)} cells, expected {width})"
+    return None
+
+
+def dense_remap_sort_ref(column: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The sorting numbering `lwec.ensemble._dense_remap` replaced: dense
+    0-based ids in order of first appearance, and the original labels in
+    that order."""
+    uniq, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[order] = np.arange(uniq.size)
+    return rank[inverse], tuple(int(v) for v in uniq[order])
 
 
 def coassoc_dense_ref(view, weights: np.ndarray) -> np.ndarray:

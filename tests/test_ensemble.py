@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lwec import (
     ConsensusResult,
@@ -16,7 +17,7 @@ from lwec import (
     write_label_matrix,
     write_labels,
 )
-from lwec.ensemble import relabel_first_appearance
+from lwec.ensemble import _dense_remap, relabel_first_appearance
 
 import reference as ref
 from conftest import column_members, label_arrays, random_label_array
@@ -89,11 +90,15 @@ def parse_outcome(parse, text):
 
 
 class TestParserAgainstLineLoop:
-    """`parse_label_matrix` splits all cells at once; the line-by-line loop it
-    replaced gives the same matrix and the same first error."""
+    """`parse_label_matrix` parses all rows in one C pass and walks the rows in
+    Python only where that pass refuses them; the line-by-line loop it replaced
+    gives the same matrix and the same first error."""
 
     LINES = [
         "0,1", "1,0", "2,2", " 3 ,4 ", "5,6", "-0,1", "+1,2", "1\t,2",  # good rows
+        # good rows only int() takes whole: the C pass refuses '1_0' and '٣';
+        # '\xa0' pads a cell, and '\x0b' is a line break to str.splitlines
+        "1_0,2", "٣,1", "0,\xa01", "\x0b2,0",
         "# header", "#x,1",  # a '#' row
         "1,2,3", "5", "", "   ",  # ragged rows and blank lines
         "1,-2", "-99999999999999999999,x",  # negative labels
@@ -127,14 +132,44 @@ class TestParserAgainstLineLoop:
 
     def test_malformed_corpus(self):
         rng = np.random.default_rng(2718)
-        overflows = 0
+        overflows = walked = 0
         for _ in range(3000):
             picks = rng.integers(0, len(self.LINES), size=int(rng.integers(0, 7)))
             text = "\n".join(self.LINES[i] for i in picks) + "\n" * int(rng.integers(0, 2))
             want = self.loop_outcome(text)
             overflows += str(want[1]).endswith("too large for int64")
+            walked += isinstance(want[0], list) and ("1_0" in text or "٣" in text)
             assert parse_outcome(parse_label_matrix, text) == want
-        assert overflows > 0
+        assert overflows > 0 and walked > 0
+
+
+class TestNumberingAgainstSort:
+    """`_dense_remap` numbers by a scatter of first positions; the sort over
+    the whole column it replaced gives the same dense labels and originals."""
+
+    INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+    COLUMNS = st.one_of(
+        st.lists(st.integers(0, 5), min_size=1, max_size=40).map(np.array),  # labels < 2N
+        st.lists(st.integers(0, 200), min_size=1, max_size=12).map(np.array),  # labels >= 2N
+        st.lists(st.integers(-5, 5), min_size=1, max_size=20).map(np.array),  # negative labels
+        st.lists(
+            st.one_of(st.sampled_from([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1]), INT64),
+            min_size=1, max_size=20,
+        ).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(  # uint64 past int64
+            st.one_of(st.integers(0, 3), st.integers(2**63, 2**64 - 1)), min_size=1, max_size=20,
+        ).map(lambda v: np.array(v, dtype=np.uint64)),
+        st.tuples(INT64, st.integers(1, 20)).map(lambda vn: np.full(vn[1], vn[0], dtype=np.int64)),  # all equal
+    )
+
+    @given(COLUMNS)
+    @settings(max_examples=300)
+    def test_same_numbering_as_sort(self, column):
+        dense, original = _dense_remap(column)
+        want_dense, want_original = ref.dense_remap_sort_ref(column)
+        assert dense.dtype == np.int64 and dense.tolist() == want_dense.tolist()
+        assert original == want_original
+        assert all(type(v) is int for v in original)
 
 
 class TestEnsembleView:
@@ -212,6 +247,7 @@ class TestRoundTrip:
         ("0\n1\n# late\n1\n", "^line 3: unexpected '#' row"),
         ("# header\n0\n\n-1\n", "^line 4: negative cluster label$"),
         ("0\n1,1\n", r"^line 2: ragged rows \(2 cells, expected 1\)$"),
+        ("# h\n0,1\n1,0\n", r"^line 2: ragged rows \(2 cells, expected 1\)$"),  # even rows, too wide
         ("# header only\n", "^empty label file$"),
     ])
     def test_read_labels_names_the_bad_line(self, text, message):

@@ -146,6 +146,14 @@ class TestTcutPartition:
             optimum = ref.exhaustive_ncut_k2(b)
             assert achieved <= optimum * 1.05 + 1e-12
 
+    def test_k2_oracle_equals_node_pair_products(self):
+        # the block-product oracle against the full node-pair product it
+        # replaced, on every 21st of the 420 k = 2 graphs; a zero optimum
+        # (a disconnected graph) is rounding noise in both
+        for graph, _ in itertools.islice(k2_instances(), 0, None, 21):
+            b = ref.affinity_ref(graph)
+            assert ref.exhaustive_ncut_k2(b) == pytest.approx(ref.exhaustive_ncut_k2_node_pairs_ref(b), rel=1e-12, abs=1e-15)
+
     def test_cut_quality_near_induced_optimum_k3(self):
         # 100 connected-enough graphs (N 6-12, M 1-3, 2-3 clusters per column,
         # >= 3 positive-weight clusters, <= 3 components), all small enough for

@@ -555,6 +555,36 @@ class TestFeatureIo:
         with pytest.raises(ValueError, match=message):
             read_features(text)
 
+    @staticmethod
+    def outcome(read, text):
+        """The array a reader returns, as bits, or the type and message of what it raises."""
+        try:
+            return read(text).tobytes()
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("text", [
+        "+.5,1\n-.5,1e-3\n", "1_0.5,2\n3,4_0\n", " 1.5 ,\t2\n3,\xa04\n",
+        "4.9e-324,2.2250738585072009e-308\n-5e-324,1e-310\n",  # subnormals
+        "inf,1\n2,3\n", "1,2\n-Infinity,3\n", "nan,1\n2,3\n",  # validate_features' error
+        "1e999,1\n2,3\n", "1,2\n3\n", "1,2\n# late\n", "1,2\n3,x\n", "1,2\n3,\n",
+    ])
+    def test_read_features_matches_joined_cell_parser(self, text):
+        # the C pass, or the row walk where it refuses a cell such as '1_0.5',
+        # gives what one float() per cell gave
+        want = self.outcome(lambda t: validate_features(ref.parse_table_join_ref(t, float, "feature file")), text)
+        assert self.outcome(read_features, text) == want
+
+    def test_read_features_round_trips_17_digit_reals(self):
+        rng = np.random.default_rng(41)
+        x = np.concatenate([
+            rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3)),
+            rng.random((10, 3)) * 1e-310,  # subnormal
+        ])
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in x) + "\n"
+        want = validate_features(ref.parse_table_join_ref(text, float, "feature file"))
+        assert read_features(text).tobytes() == want.tobytes() == x.tobytes()
+
     def test_blob_generator_deterministic(self):
         a = make_gaussian_blobs(21, [[0, 0], [5, 5]], spread=0.3, seed=6)
         b = make_gaussian_blobs(21, [[0, 0], [5, 5]], spread=0.3, seed=6)
