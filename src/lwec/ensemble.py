@@ -239,13 +239,12 @@ def parse_label_matrix(source: str | IO[str] | Iterable[str]) -> LabelMatrix:
 def _parse_table(source: str | IO[str] | Iterable[str], cast: type, what: str, width: int = 0) -> np.ndarray:
     """A table of `parse_label_matrix`'s format as a 2-D array of `cast` (int or
     float) cells, int cells non-negative; `width` cells a row, or the first row's."""
-    lines = enumerate(_read_text(source).splitlines(), start=1)
-    numbered = [(lineno, row) for lineno, line in lines if (row := line.strip())]
-    if numbered and numbered[0][1].startswith("#"):
-        numbered = numbered[1:]
-    if not numbered:
+    lines = _read_text(source).splitlines()
+    rows = [row for line in lines if (row := line.strip())]
+    if rows and rows[0].startswith("#"):
+        rows = rows[1:]
+    if not rows:
         raise ValueError(f"empty {what}")
-    rows = [row for _, row in numbered]
     width = width or rows[0].count(",") + 1
     dtype = np.int64 if cast is int else np.float64
     try:
@@ -258,6 +257,7 @@ def _parse_table(source: str | IO[str] | Iterable[str], cast: type, what: str, w
         pass
     # the C pass refused the table: walk its rows for the first bad line, or
     # for cells only int() and float() take; both ignore a cell's whitespace
+    numbered = [(lineno, row) for lineno, line in enumerate(lines, start=1) if (row := line.strip())][-len(rows) :]
     values = []
     for lineno, row in numbered:
         if row.startswith("#"):

@@ -24,7 +24,8 @@ __all__ = [
     "eac",
 ]
 
-# rows of the co-association per block of the safety rule's scan
+# rows of the co-association per block of the safety rule's scan and of the
+# average-link window's compaction (its only temporary, SAFETY_BLOCK x live)
 SAFETY_BLOCK = 64
 
 
@@ -76,20 +77,30 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
 
     Cache: for every live slot r, `rowmax[r]` is the maximum of `work[r]`
     over live columns and `rowarg[r]` the first column holding it (dead
-    slots hold -inf and -1; `off`, -inf at dead columns, masks their stale
-    entries), so the first row holding the largest `rowmax` and its `rowarg`
-    are what a row-major argmax over the live submatrix picks. A merge or
-    completion changes only columns i and j of the other rows: a row takes
-    column i if it now leads there, and is rescanned, as row i is, if its
-    cached column lost its maximum.
+    slots hold -inf and -1), so the first row holding the largest `rowmax`
+    and its `rowarg` are what a row-major argmax over the live submatrix
+    picks. Dead entries are stale and two masks hide them: a merged row gets
+    NaN at dead columns, so dead rows fail every comparison with it, and a
+    rescan takes `np.fmin` with a limit that is -inf at dead columns and inf
+    at live ones. A merge or completion changes only columns i and j of the
+    other rows: one `merged >= rowmax` pass finds the few rows that may take
+    column i (a row takes it if it now leads there, or ties its maximum from
+    the left), and one lookup of `rowarg` in a table true at i and j finds
+    the rows whose cached column may have lost its maximum; those that do
+    not take column i are rescanned, as row i is. The loop works in a window,
+    the leading block of its buffer: once dead slots fill half of it, the
+    live rows and columns move, in order, into its leading live x live block,
+    64 rows at a time, so slot order and the tie-break are unchanged.
 
     Cost, for s slots (the number of distinct label rows unless the safety
-    rule splits a group): O(s) per merge plus O(s) per rescanned row, so
-    O(s^2) time when few rows share a maximum column and O(s^3) at worst;
-    O(c s) per completed group for the replay; the c x c loops of the groups
-    whose averages round. Memory is O(s^2 + N) on top of `matrix`, which is
-    left as it is; `lwea` and `eac` instead hand their freshly built matrix
-    to the loop, which then works in that buffer when every slot is one row.
+    rule splits a group): per merge, a fixed number of vector passes over a
+    window of at most twice the live slots, plus one such pass per rescanned
+    row, so O(s^2) time when few rows share a maximum column and O(s^3) at
+    worst; the compactions copy O(s^2) in all; O(c s) per completed group for
+    the replay; the c x c loops of the groups whose averages round. Memory
+    is O(s^2 + N) on top of `matrix`, which is left as it is; `lwea` and
+    `eac` instead hand their freshly built matrix to the loop, which then
+    works in that buffer when every slot is one row.
     """
     if matrix.n < 2:
         raise ValueError("need at least two objects to build a dendrogram")
@@ -111,8 +122,16 @@ def _dendrogram(values: np.ndarray, leaf: np.ndarray) -> Dendrogram:
 
 
 def _average(sa, va, sb, vb):
-    """The average-link recurrence: similarity to the union of regions a and b."""
-    return (sa * va + sb * vb) / (sa + sb)
+    """The average-link recurrence, similarity to the union of regions a and b:
+    (sa·va + sb·vb) / (sa + sb), in place in an array `va`, which an array `vb`
+    may be scaled in too. A size-1 region enters unscaled, as 1·v = v exactly."""
+    if sa != 1:
+        va *= sa
+    if sb != 1:
+        vb *= sb
+    va += vb
+    va /= sa + sb
+    return va
 
 
 def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, float]], float, float]:
@@ -139,13 +158,16 @@ def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, floa
 
 def _replay(events: list[tuple[int, int, int, float]], c: int, row: np.ndarray) -> np.ndarray:
     """Row of a completed group: its intra merges' recurrence applied
-    elementwise to the row its c members share."""
+    elementwise to the row its c members share, which is left as it is."""
     vectors, sizes = [row] * c, [1] * c
     for left, right, _, _ in events:
-        # two members average to their own row, (r + r) / 2 = r exactly
-        pair = sizes[left] == sizes[right] == 1
-        vectors.append(row if pair else _average(sizes[left], vectors[left], sizes[right], vectors[right]))
-        sizes.append(sizes[left] + sizes[right])
+        a, b, u, v = sizes[left], sizes[right], vectors[left], vectors[right]
+        # two members average to their own row, (r + r) / 2 = r exactly; the
+        # shared row is copied before it is scaled or summed into
+        vectors.append(
+            row if a == b == 1 else _average(a, u.copy() if u is row else u, b, v.copy() if v is row and b != 1 else v)
+        )
+        sizes.append(a + b)
         vectors[left] = vectors[right] = None
     return vectors[-1]
 
@@ -187,8 +209,10 @@ def _agglomerate(
     `window`, if given, is widened to every live value the loop holds.
 
     When slot r is row r for every row and `values` is writeable, `values`
-    itself becomes the loop's `work` array and is overwritten, so everything
-    the loop needs from it is read first; otherwise `work` is gathered, s x s.
+    itself becomes the loop's buffer and is overwritten, so everything the
+    loop needs from it is read first, and its leading block ends as the
+    compacted matrix of the last window; otherwise the buffer is gathered,
+    s x s.
     """
     n = leaf.size
     counts = np.bincount(leaf, minlength=values.shape[0])
@@ -209,14 +233,20 @@ def _agglomerate(
     size = np.where(whole[slot_row], counts[slot_row], 1).tolist()
     region = slot_obj.tolist()
     if values.flags.writeable and np.array_equal(slot_row, np.arange(values.shape[0])):
-        work = values
+        buffer = values
     else:
-        work = values[np.ix_(slot_row, slot_row)]
+        buffer = values[np.ix_(slot_row, slot_row)]
+    work = buffer  # the window: the leading block of `buffer` holding every live slot
     # a kept group's diagonal holds its self-similarity until it completes
     np.fill_diagonal(work, np.where(whole[slot_row], work.diagonal(), -np.inf))
     rowarg = np.argmax(work, axis=1)
     rowmax = work[np.arange(s), rowarg]
-    off = np.zeros(s)  # -inf at dead slots
+    # per window slot, dead or live: NaN or 0 (a merged row's dead entries fail every
+    # comparison) and -inf or inf (np.fmin reads a rescanned row's dead entries as -inf)
+    nan_dead, limit = np.zeros(s), np.full(s, np.inf)
+    # True at i and j while the caches are updated; [-1], a dead slot's rowarg, stays False
+    cached = np.zeros(s + 1, dtype=bool)
+    live = s
     merges: list[tuple[int, int, int, float]] = []
     while len(merges) < n - 1:
         # slot r always holds the region whose smallest member is slot_obj[r],
@@ -233,39 +263,57 @@ def _agglomerate(
             work[i, i] = -np.inf
             if len(events) == 1:
                 # a pair replays to its own row: only row i's cache changes
-                block = work[i] + off
-                rowarg[i] = block.argmax()
-                rowmax[i] = block[rowarg[i]]
+                block = np.fmin(work[i], limit)
+                rowarg[i] = arg = block.argmax()
+                rowmax[i] = block[arg]
                 continue
-            merged = _replay(events, len(events) + 1, work[i])
+            work[i] = _replay(events, len(events) + 1, work[i])
         else:
             merges.append((region[i], region[j], n + len(merges), float(work[i, j])))
-            off[j] = -np.inf
-            rowmax[j] = -np.inf
-            rowarg[j] = -1
-            merged = _average(size[i], work[i], size[j], work[j])
+            nan_dead[j], limit[j], rowmax[j], rowarg[j] = np.nan, -np.inf, -np.inf, -1
+            live -= 1
+            # row i becomes the merged row in place; row j, now dead, is scaled
+            _average(size[i], work[i], size[j], work[j])
             size[i] += size[j]
             region[i] = merges[-1][2]
-        # dead slots' columns are stale in `work`; merged[i] is -inf as work[i, i] is
-        merged += off
+        # dead entries of row i are stale; merged[i] is -inf as work[i, i] is
+        merged = work[i]
+        merged += nan_dead
         if window is not None:
-            window[0] = min(window[0], merged.min(where=merged > -np.inf, initial=np.inf))
-            window[1] = max(window[1], merged.max())
-        work[i] = merged
+            held = merged > -np.inf
+            window[0] = min(window[0], merged.min(where=held, initial=np.inf))
+            window[1] = max(window[1], merged.max(where=held, initial=-np.inf))
         work[:, i] = merged
         # column i now holds `merged`; it becomes a row's first maximum if it
         # beats the cached one or ties it from the left. A row whose cached
-        # column was i or j and that does not take column i is rescanned.
-        take = np.where(rowarg >= i, merged >= rowmax, merged > rowmax)
-        rescan = (rowarg == i) | (rowarg == j)
-        rescan &= ~take
-        rescan[i] = True
-        np.copyto(rowmax, merged, where=take)
-        np.copyto(rowarg, i, where=take)
-        rows = rescan.nonzero()[0]
-        block = work[rows] + off
-        rowarg[rows] = block.argmax(axis=1)
-        rowmax[rows] = block.max(axis=1)
+        # column was i or j (row i's is one of them) is rescanned unless it
+        # takes column i, which it does exactly when it hits.
+        cached[i] = cached[j] = True
+        rows = cached[rowarg].nonzero()[0]
+        cached[i] = cached[j] = False
+        hit = (merged >= rowmax).nonzero()[0]
+        if hit.size:
+            rows = rows[(merged[rows] < rowmax[rows]) | (rows == i)]
+            take = hit[(merged[hit] > rowmax[hit]) | (rowarg[hit] >= i)]
+            rowmax[take] = merged[take]
+            rowarg[take] = i
+        for r in rows.tolist():
+            block = np.fmin(work[r], limit)
+            rowarg[r] = arg = block.argmax()
+            rowmax[r] = block[arg]
+        if 2 * live <= work.shape[0]:
+            # dead slots fill half the window: move the live rows and columns,
+            # in order, into its leading live x live block, SAFETY_BLOCK rows at a time
+            keep = np.flatnonzero(rowarg >= 0)
+            prefix = buffer[:live, :live]
+            for a in range(0, live, SAFETY_BLOCK):
+                prefix[a : a + SAFETY_BLOCK] = work[np.ix_(keep[a : a + SAFETY_BLOCK], keep)]
+            work = prefix
+            position = np.empty(rowarg.size, dtype=np.intp)
+            position[keep] = np.arange(live)
+            rowarg, rowmax, slot_row = position[rowarg[keep]], rowmax[keep], slot_row[keep]
+            size, region = [size[r] for r in keep.tolist()], [region[r] for r in keep.tolist()]
+            nan_dead, limit = np.zeros(live), np.full(live, np.inf)
     return merges
 
 
