@@ -24,9 +24,9 @@ __all__ = [
     "eac",
 ]
 
-# rows of the co-association per block of the safety rule's scan and of the
-# average-link window's compaction (its only temporary, SAFETY_BLOCK x live)
-SAFETY_BLOCK = 64
+# rows per block of the average-link window's compaction (its only
+# temporary, COMPACT_BLOCK x live)
+COMPACT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,27 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     Invariant: the result is, merge for merge and bit for bit, that of this
     loop run on the N x N `matrix.dense()`, though the loop runs over
     microclusters. The c objects of a group g (those sharing row g of
-    `matrix.values`, self-similarity S_g) have equal N x N rows, whose other
-    entries are at most S_g, so the dense loop merges them among themselves
-    once S_g leads, as it would a c x c matrix filled with S_g, before any
-    joins another region. Those merges are not all at S_g: averages such as
-    (2S + S)/3 round. So g is one slot of size c with S_g on its diagonal;
-    when the argmax lands there, g completes: its intra merges, the c x c
-    dendrogram memoised per (c, S_g), are emitted, its diagonal becomes
-    -inf, and their recurrence is replayed elementwise on row g. That
-    dendrogram is the chain of members in index order, all at S_g, when no
-    average of S_g rounds, and otherwise this loop on the c x c matrix.
+    `matrix.values`, self-similarity S_g) have equal N x N rows, so once S_g
+    leads the dense loop merges them as it would a c x c matrix filled with
+    S_g, unless an outside value reaches those merges. So g is one slot of
+    size c with S_g on its diagonal; when the argmax lands there, g
+    completes: its intra merges, memoised per (c, S_g), are emitted, its
+    diagonal becomes -inf, and their recurrence is replayed on row g. They
+    are the chain of members in index order while the averages of S_g (such
+    as (2S + S)/3, which round) do not fall below it, and otherwise this
+    loop on the c x c matrix.
 
-    Safety rule, applied before the loop: a group's window runs from the
-    lowest to the highest live value its c x c loop holds. The group stays
-    one slot only if no off-diagonal entry of `matrix.values` lies in its
-    window (nor reaches it in row g) and its window overlaps no other
-    group's, except that groups whose window is the same single value may
-    tie each other (every CA group is one, as its sums are exact); otherwise
-    its members are singleton slots. With no repeated row (or `leaf=None`)
-    there are no groups and this is the plain loop.
+    Demotion: a group with a live diagonal becomes one slot per member, and
+    the argmax is picked again, when (a) the argmax lands on a pair holding
+    it, or (b) it would complete but another value may reach its merges:
+    row g's largest off-diagonal entry times 1 + 4c·eps (averaging it over
+    the members' sub-regions, c - 1 levels of three roundings, raises it by
+    less; entries are >= 0), or, unless g is an exact chain (every merge at
+    S_g or above, each led by the smallest member's region), another slot's
+    row maximum, reaches g's lowest merge similarity. Another row ties an
+    exact chain at most, and loses the tie, as its row comes later. Demoted
+    members run the plain loop, so the rule is exact as long as it demotes
+    every group whose merges the dense loop would interleave with others.
 
     Cache: for every live slot r, `rowmax[r]` is the maximum of `work[r]`
     over live columns and `rowarg[r]` the first column holding it (dead
@@ -92,15 +94,14 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     live rows and columns move, in order, into its leading live x live block,
     64 rows at a time, so slot order and the tie-break are unchanged.
 
-    Cost, for s slots (the number of distinct label rows unless the safety
-    rule splits a group): per merge, a fixed number of vector passes over a
-    window of at most twice the live slots, plus one such pass per rescanned
-    row, so O(s^2) time when few rows share a maximum column and O(s^3) at
-    worst; the compactions copy O(s^2) in all; O(c s) per completed group for
-    the replay; the c x c loops of the groups whose averages round. Memory
-    is O(s^2 + N) on top of `matrix`, which is left as it is; `lwea` and
-    `eac` instead hand their freshly built matrix to the loop, which then
-    works in that buffer when every slot is one row.
+    Cost, for s slots (p plus c - 1 per demoted group): per merge, a fixed
+    number of vector passes over a window of at most twice the live slots,
+    plus one such pass per rescanned row, so O(s^2) time when few rows share
+    a maximum column and O(s^3) at worst; O(s^2) for all the compactions and
+    per demotion; O(c s) per completed group for the replay; the c x c loops
+    of the groups whose averages round. Memory is O(s^2 + N) on top of
+    `matrix`, which is left as it is; `lwea` and `eac` instead hand their
+    freshly built matrix to the loop, which works in it until a demotion.
     """
     if matrix.n < 2:
         raise ValueError("need at least two objects to build a dendrogram")
@@ -113,7 +114,7 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
 
 def _dendrogram(values: np.ndarray, leaf: np.ndarray) -> Dendrogram:
     """`build_dendrogram` over `values` (p x p) and `leaf`; a writeable
-    `values` is consumed when every slot is one row."""
+    `values` whose rows are numbered by smallest member is consumed."""
     merges = np.rec.array(
         _agglomerate(values, leaf, {}), formats="i8,i8,i8,f8", names="left,right,new_id,similarity"
     )
@@ -134,10 +135,11 @@ def _average(sa, va, sb, vb):
     return va
 
 
-def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, float]], float, float]:
+def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, float]], float, bool]:
     """Merges (left, right, new_id, similarity) of c objects at mutual
-    similarity s (leaves 0..c-1; merge t creates c + t) and the lowest and
-    highest live value that loop holds, memoised."""
+    similarity s (leaves 0..c-1; merge t creates c + t), their lowest
+    similarity, and whether they are an exact chain: every merge at s or
+    above, each taking the next member into the region of member 0. Memoised."""
     if (c, s) not in memo:
         # members 0..k-1, once merged, are at similarity v from each later
         # member; while v >= s they take the next member in turn: a chain
@@ -148,11 +150,12 @@ def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, floa
                 break
             sims.append(v)
         if len(sims) == c - 1:
-            chain = [(c + t - 1 if t else 0, t + 1, c + t, sim) for t, sim in enumerate(sims)]
-            memo[c, s] = chain, min(sims), max(sims)
+            low = min(sims)
+            memo[c, s] = [(c + t - 1 if t else 0, t + 1, c + t, sim) for t, sim in enumerate(sims)], low, low >= s
         else:
-            window = [s, s]
-            memo[c, s] = _agglomerate(np.full((c, c), s), np.arange(c), memo, window), window[0], window[1]
+            # this loop may keep every merge at s, pairing other members first
+            events = _agglomerate(np.full((c, c), s), np.arange(c), memo)
+            memo[c, s] = events, min(event[3] for event in events), False
     return memo[c, s]
 
 
@@ -172,102 +175,99 @@ def _replay(events: list[tuple[int, int, int, float]], c: int, row: np.ndarray) 
     return vectors[-1]
 
 
-def _compressed(values: np.ndarray, groups: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The safety rule: which groups (rows of `values` shared by two or more
-    objects, windows [lo, hi]) are kept as one slot. Reads `values`
-    SAFETY_BLOCK rows at a time."""
-    # one window per group, except that equal single values share one
-    tag = np.where(lo == hi, -1.0, np.arange(lo.size))
-    windows, inverse = np.unique(np.column_stack([lo, hi, tag]), axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    wlo, whi = windows[:, 0], windows[:, 1]
-    reach = np.maximum.accumulate(whi)
-    # windows sorted by lo overlap iff one starts before an earlier one ends
-    split = (wlo <= np.concatenate(([-np.inf], reach[:-1]))) | (whi >= np.concatenate((wlo[1:], [np.inf])))
-    # an off-diagonal entry inside a window that overlaps none lies in the
-    # last window starting at or below it; the overlapping ones are split
-    # already. Each group row's off-diagonal maximum is kept too.
-    offmax = np.empty(groups.size)
-    for a in range(0, values.shape[0], SAFETY_BLOCK):
-        block = values[a : a + SAFETY_BLOCK].copy()
-        diagonal = np.arange(block.shape[0])
-        block[diagonal, a + diagonal] = -np.inf
-        entries = block[block >= wlo[0]]
-        at = np.searchsorted(wlo, entries, side="right") - 1
-        split[at[entries <= whi[at]]] = True
-        mine = (groups >= a) & (groups < a + SAFETY_BLOCK)
-        offmax[mine] = block[groups[mine] - a].max(axis=1)
-    # a group row reaching its own window off the diagonal
-    split = split[inverse] | (offmax >= lo)
-    return np.bincount(inverse, weights=split, minlength=windows.shape[0])[inverse] == 0
+def _demoted(work, keep, first, size, region, i, members, s):
+    """The live slots `keep` of `work`, with the group in slot i (its sorted
+    `members`, mutual similarity s) split into one slot per member, gathered
+    into a new buffer with slots again in order of smallest member; and
+    `first`, `size` and `region` to match."""
+    reps = np.concatenate((first[keep], members[1:]))
+    by_first = np.argsort(reps)
+    source = np.concatenate((keep, np.full(members.size - 1, i)))[by_first]
+    buffer = work[np.ix_(source, source)]
+    mine = np.flatnonzero(source == i)
+    buffer[np.ix_(mine, mine)] = s
+    buffer[mine, mine] = -np.inf
+    first, source = reps[by_first], source.tolist()
+    size = [1 if r == i else size[r] for r in source]
+    region = [m if r == i else region[r] for r, m in zip(source, first.tolist())]
+    return buffer, first, size, region
 
 
-def _agglomerate(
-    values: np.ndarray, leaf: np.ndarray, memo: dict, window: list | None = None
-) -> list[tuple[int, int, int, float]]:
-    """The merges (left, right, new_id, similarity) of `build_dendrogram`;
-    `window`, if given, is widened to every live value the loop holds.
+def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple[int, int, int, float]]:
+    """The merges (left, right, new_id, similarity) of `build_dendrogram`.
 
-    When slot r is row r for every row and `values` is writeable, `values`
-    itself becomes the loop's buffer and is overwritten, so everything the
-    loop needs from it is read first, and its leading block ends as the
-    compacted matrix of the last window; otherwise the buffer is gathered,
-    s x s.
+    When `values` is writeable and its rows are numbered by smallest member,
+    each used, it is the loop's first buffer and is overwritten (its leading
+    block holds the compacted matrix when the loop ends or a demotion moves
+    it to a gathered buffer); otherwise the first buffer is gathered, p x p.
     """
     n = leaf.size
     counts = np.bincount(leaf, minlength=values.shape[0])
     order = np.argsort(leaf, kind="stable")
     starts = np.cumsum(counts) - counts
-    groups = np.flatnonzero(counts > 1)
-    intra = {g: _intra(int(counts[g]), float(values[g, g]), memo) for g in groups.tolist()}
-    whole = np.zeros(values.shape[0], dtype=bool)
-    if groups.size:
-        lo, hi = np.array([w[1:] for w in intra.values()]).T
-        whole[groups] = _compressed(values, groups, lo, hi)
-    # a kept group is one slot at its smallest member; other objects are slots
-    opens = ~whole[leaf]
-    opens[order[starts[whole]]] = True
-    slot_obj = np.flatnonzero(opens)
-    slot_row = leaf[slot_obj]
-    s = slot_obj.size
-    size = np.where(whole[slot_row], counts[slot_row], 1).tolist()
-    region = slot_obj.tolist()
-    if values.flags.writeable and np.array_equal(slot_row, np.arange(values.shape[0])):
+    # one slot per used row, in order of its smallest member
+    first = np.sort(order[starts[counts > 0]])
+    used = leaf[first]
+    if values.flags.writeable and np.array_equal(used, np.arange(values.shape[0])):
         buffer = values
     else:
-        buffer = values[np.ix_(slot_row, slot_row)]
+        buffer = values[np.ix_(used, used)]
     work = buffer  # the window: the leading block of `buffer` holding every live slot
-    # a kept group's diagonal holds its self-similarity until it completes
-    np.fill_diagonal(work, np.where(whole[slot_row], work.diagonal(), -np.inf))
-    rowarg = np.argmax(work, axis=1)
-    rowmax = work[np.arange(s), rowarg]
-    # per window slot, dead or live: NaN or 0 (a merged row's dead entries fail every
-    # comparison) and -inf or inf (np.fmin reads a rescanned row's dead entries as -inf)
-    nan_dead, limit = np.zeros(s), np.full(s, np.inf)
-    # True at i and j while the caches are updated; [-1], a dead slot's rowarg, stays False
-    cached = np.zeros(s + 1, dtype=bool)
-    live = s
+    # a group's diagonal holds its self-similarity until it completes
+    np.fill_diagonal(work, np.where(counts[used] > 1, work.diagonal(), -np.inf))
+    size, region = counts[used].tolist(), first.tolist()
+    rowarg = None
     merges: list[tuple[int, int, int, float]] = []
     while len(merges) < n - 1:
-        # slot r always holds the region whose smallest member is slot_obj[r],
+        if rowarg is None:
+            # (re)build the caches over a window of live slots only
+            live = work.shape[0]
+            rowarg = np.argmax(work, axis=1)
+            rowmax = work[np.arange(live), rowarg]
+            # per window slot, dead or live: NaN or 0 (a merged row's dead entries fail every
+            # comparison) and -inf or inf (np.fmin reads a rescanned row's dead entries as -inf)
+            nan_dead, limit = np.zeros(live), np.full(live, np.inf)
+            # True at i and j while the caches are updated; [-1], a dead slot's rowarg, stays False
+            cached = np.zeros(live + 1, dtype=bool)
+            # per slot: a group that has not completed, so its diagonal is live
+            whole = (work.diagonal() > -np.inf).tolist()
+        # slot r always holds the region whose smallest member is first[r],
         # so the first row and column holding the maximum are the tie-break winner
         i = int(rowmax.argmax())
         j = int(rowarg[i])
-        if i == j:
-            # the group in slot i leads: emit its intra merges, replay them on row i
-            g, base = int(slot_row[i]), n + len(merges)
-            events = intra[g][0]
-            ids = order[starts[g] : starts[g] + counts[g]].tolist() + list(range(base, base + len(events)))
-            merges.extend((ids[a], ids[b], ids[e], sim) for a, b, e, sim in events)
-            region[i] = ids[-1]
-            work[i, i] = -np.inf
-            if len(events) == 1:
-                # a pair replays to its own row: only row i's cache changes
+        pending = i if whole[i] else j if whole[j] else -1
+        if pending >= 0:
+            g, s = int(leaf[first[pending]]), float(work[pending, pending])
+            c = int(counts[g])
+            members = order[starts[g] : starts[g] + c]
+            if i == j:
+                # the group in slot i leads. It completes unless an outside value
+                # reaches its merges: one of row i's, which the averages among
+                # its members may raise by 4c ulps, or another row's (at most s,
+                # which ties an exact chain only after row i)
+                events, low, chain = _intra(c, s, memo)
+                work[i, i] = -np.inf
                 block = np.fmin(work[i], limit)
-                rowarg[i] = arg = block.argmax()
+                arg = block.argmax()
                 rowmax[i] = block[arg]
+                if rowmax[i] * (1 + 4 * c * np.finfo(float).eps) < low and (chain or rowmax.max() < low):
+                    pending = -1
+            # else a member of the group in slot `pending` meets another region first
+        if pending >= 0:
+            keep = np.flatnonzero(rowarg >= 0)
+            work, first, size, region = _demoted(work, keep, first, size, region, pending, members, s)
+            buffer, rowarg = work, None
+            continue
+        if i == j:
+            base = n + len(merges)
+            ids = members.tolist() + list(range(base, base + len(events)))
+            merges.extend((ids[a], ids[b], ids[e], sim) for a, b, e, sim in events)
+            region[i], whole[i] = ids[-1], False
+            if c == 2:
+                # a pair replays to its own row: only row i's cache changes
+                rowarg[i] = arg
                 continue
-            work[i] = _replay(events, len(events) + 1, work[i])
+            work[i] = _replay(events, c, work[i])
         else:
             merges.append((region[i], region[j], n + len(merges), float(work[i, j])))
             nan_dead[j], limit[j], rowmax[j], rowarg[j] = np.nan, -np.inf, -np.inf, -1
@@ -279,10 +279,6 @@ def _agglomerate(
         # dead entries of row i are stale; merged[i] is -inf as work[i, i] is
         merged = work[i]
         merged += nan_dead
-        if window is not None:
-            held = merged > -np.inf
-            window[0] = min(window[0], merged.min(where=held, initial=np.inf))
-            window[1] = max(window[1], merged.max(where=held, initial=-np.inf))
         work[:, i] = merged
         # column i now holds `merged`; it becomes a row's first maximum if it
         # beats the cached one or ties it from the left. A row whose cached
@@ -303,16 +299,17 @@ def _agglomerate(
             rowmax[r] = block[arg]
         if 2 * live <= work.shape[0]:
             # dead slots fill half the window: move the live rows and columns,
-            # in order, into its leading live x live block, SAFETY_BLOCK rows at a time
+            # in order, into its leading live x live block, COMPACT_BLOCK rows at a time
             keep = np.flatnonzero(rowarg >= 0)
             prefix = buffer[:live, :live]
-            for a in range(0, live, SAFETY_BLOCK):
-                prefix[a : a + SAFETY_BLOCK] = work[np.ix_(keep[a : a + SAFETY_BLOCK], keep)]
+            for a in range(0, live, COMPACT_BLOCK):
+                prefix[a : a + COMPACT_BLOCK] = work[np.ix_(keep[a : a + COMPACT_BLOCK], keep)]
             work = prefix
             position = np.empty(rowarg.size, dtype=np.intp)
             position[keep] = np.arange(live)
-            rowarg, rowmax, slot_row = position[rowarg[keep]], rowmax[keep], slot_row[keep]
-            size, region = [size[r] for r in keep.tolist()], [region[r] for r in keep.tolist()]
+            rowarg, rowmax, first = position[rowarg[keep]], rowmax[keep], first[keep]
+            keep = keep.tolist()
+            size, region, whole = [size[r] for r in keep], [region[r] for r in keep], [whole[r] for r in keep]
             nan_dead, limit = np.zeros(live), np.full(live, np.inf)
     return merges
 

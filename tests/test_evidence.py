@@ -23,6 +23,7 @@ from lwec import (
 )
 
 from lwec.coassoc import _ca
+from lwec.ensemble import relabel_first_appearance
 from lwec.evidence import _dendrogram, _intra
 
 import reference as ref
@@ -190,20 +191,20 @@ class TestMicroclusters:
         assert matrix.values.shape[0] < 1500
         self.assert_dense_loop(matrix)
 
-    def test_group_tied_by_another_entry_is_split(self):
+    def test_group_tied_by_another_entry_is_demoted(self):
         # the pair's self-similarity 0.5 is also its entry with object 2
         self.assert_dense_loop(CoassocMatrix(np.array([[0.5, 0.5], [0.5, 1.0]]), "ca", np.array([0, 0, 1])))
 
-    def test_group_row_above_its_diagonal_is_split(self):
+    def test_group_row_above_its_diagonal_is_demoted(self):
         # a hand-built row may exceed its diagonal; object 0 then joins object 2 first
         self.assert_dense_loop(CoassocMatrix(np.array([[0.2, 0.9], [0.9, 1.0]]), "ca", np.array([0, 0, 1])))
 
-    def test_group_window_holding_another_pair_is_split(self):
-        # the 4 x 4 loop of four objects at s also holds a value one ulp
-        # below s, and objects 4 and 5 meet at s, inside that window
+    def test_group_window_holding_another_pair_is_demoted(self):
+        # the 4 x 4 loop of four objects at s merges once one ulp below s,
+        # and objects 4 and 5 meet at s, before that merge
         s = 0.7065469048855986
-        _, low, high = _intra(4, s, {})
-        assert low < high == s
+        _, low, chain = _intra(4, s, {})
+        assert low < s and not chain
         values = np.array([[s, 0.01, 0.02], [0.01, 1.0, s], [0.02, s, 1.0]])
         self.assert_dense_loop(CoassocMatrix(values, "lwca", np.array([0, 0, 0, 0, 1, 2])))
 
@@ -218,19 +219,14 @@ class TestMicroclusters:
             values[0, 0], values[1:, 1:], leaf = 0.5, objects, [0, 0, 0, 1, 2, 3]
         else:
             values[3, 3], values[:3, :3], leaf = 0.5, objects, [0, 1, 2, 3, 3, 3]
-        _, low, high = _intra(3, 0.5, {})
-        assert low == high == 0.5
+        _, low, chain = _intra(3, 0.5, {})
+        assert low == 0.5 and chain
         self.assert_dense_loop(CoassocMatrix(values, "lwca", np.array(leaf)))
 
     @pytest.mark.parametrize("path", ["build_dendrogram", "_dendrogram"])
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: the safety rule checks group windows against the initial entries "
-        "only, and merging objects 0 and 1 makes an average inside group 3's window",
-    )
     def test_merge_average_inside_a_group_window(self, path):
-        # group 3 (eight objects) has the window [0.4859530530234622, S_3];
-        # the merge of 0 and 1 gives row 2 the value 0.48595305302346226
+        # group 3 (eight objects) merges as low as 0.4859530530234622, below
+        # S_3; the merge of 0 and 1 gives row 2 the value 0.48595305302346226
         values = np.array(
             [
                 [1.0, 0.99, 0.8469061060469245, 0.0625],
@@ -243,6 +239,41 @@ class TestMicroclusters:
         expected = ref.average_link_argmax_ref(matrix.dense())
         got = build_dendrogram(matrix) if path == "build_dendrogram" else _dendrogram(values.copy(), matrix.leaf)
         assert merge_tuples(got) == expected
+
+    def test_hand_built_groups_near_their_self_similarity(self):
+        # 2-6 rows of 1-8 members, diagonals at S or an ulp or two from it,
+        # off-diagonals at S, an ulp or two around it, or above a diagonal:
+        # merge averages and ties land on and beside the groups' intra merges
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            s = rng.choice([0.4859530530234623, 0.7065469048855986, 0.8070616574286852, rng.uniform(0.3, 0.9)])
+            down = np.nextafter(s, 0.0)
+            near = np.array([np.nextafter(down, 0.0), down, s, np.nextafter(s, 1.0)])
+            palette = np.concatenate((near, [s / 2, s + 0.1, 0.1]))
+            p = int(rng.integers(2, 7))
+            upper = np.triu(palette[rng.integers(0, palette.size, (p, p))], 1)
+            values = upper + upper.T
+            np.fill_diagonal(values, near[rng.integers(0, near.size, p)])
+            # rows numbered by smallest member, as `_dendrogram` may consume them
+            leaf = relabel_first_appearance(rng.permutation(np.repeat(np.arange(p), rng.integers(1, 9, p))))
+            self.assert_dense_loop(CoassocMatrix(values, "lwca", leaf))
+
+    def test_rows_out_of_member_order_with_unused_rows(self, blob_view_m20):
+        # stored rows shuffled away from smallest-member order, plus two rows
+        # no object uses, at 1.0 above every entry: both paths gather the used
+        # rows, and the private one leaves the buffer it is handed as it was
+        matrix = build_lwca(blob_view_m20, annotate_validity(blob_view_m20, 0.4))
+        p = matrix.values.shape[0]
+        assert p < matrix.n
+        where = np.random.default_rng(4).permutation(p + 2)
+        values = np.ones((p + 2, p + 2))
+        values[np.ix_(where[:p], where[:p])] = matrix.values
+        shuffled = CoassocMatrix(values, "lwca", where[matrix.leaf])
+        assert np.array_equal(shuffled.dense(), matrix.dense())
+        self.assert_dense_loop(shuffled)
+        buffer = values.copy()
+        _dendrogram(buffer, shuffled.leaf)
+        assert np.array_equal(buffer, values)
 
     def test_single_group(self):
         self.assert_dense_loop(CoassocMatrix(np.array([[0.7]]), "lwca", np.zeros(9, dtype=np.int64)))
@@ -310,25 +341,33 @@ class TestInPlaceLoop:
         assert values.flags.writeable
 
     @pytest.mark.parametrize(
-        "values, leaf, consumed",
+        "values, leaf, consumed, demoted",
         [
             # a pair tied by another entry, and a pair whose row passes its
-            # diagonal: the rule splits each, so s = 3 > p = 2 and the loop gathers
-            ([[0.5, 0.5], [0.5, 1.0]], [0, 0, 1], False),
-            ([[0.2, 0.9], [0.9, 1.0]], [0, 0, 1], False),
-            # a kept pair and a singleton: s = p = 2
-            ([[0.9, 0.3], [0.3, 1.0]], [0, 0, 1], True),
-            # one row per object
-            ([[1.0, 0.4, 0.2], [0.4, 1.0, 0.7], [0.2, 0.7, 1.0]], [0, 1, 2], True),
+            # diagonal: each is demoted before the first merge, which the
+            # loop then makes in a new buffer
+            ([[0.5, 0.5], [0.5, 1.0]], [0, 0, 1], True, True),
+            ([[0.2, 0.9], [0.9, 1.0]], [0, 0, 1], True, True),
+            # a pair that completes, and one row per object
+            ([[0.9, 0.3], [0.3, 1.0]], [0, 0, 1], True, False),
+            ([[1.0, 0.4, 0.2], [0.4, 1.0, 0.7], [0.2, 0.7, 1.0]], [0, 1, 2], True, False),
+            # rows not numbered by smallest member, and a row no object uses
+            ([[0.9, 0.3], [0.3, 1.0]], [1, 0, 0], False, False),
+            ([[1.0, 0.4, 0.2], [0.4, 1.0, 0.7], [0.2, 0.7, 1.0]], [0, 0, 2], False, False),
         ],
     )
-    def test_private_path_consumes_only_when_every_slot_is_one_row(self, values, leaf, consumed):
+    def test_private_path_consumes_only_when_every_slot_is_one_row(self, values, leaf, consumed, demoted):
+        # every used row is one slot; the loop works in a writeable buffer
+        # whose rows are numbered by smallest member, each used
         matrix = CoassocMatrix(np.array(values), "ca", np.array(leaf))
         expected = ref.average_link_argmax_ref(matrix.dense())
         assert merge_tuples(build_dendrogram(matrix)) == expected
         buffer = np.array(values)
         assert merge_tuples(_dendrogram(buffer, matrix.leaf)) == expected
-        assert np.isneginf(np.diag(buffer)).all() == consumed
+        assert consumed == (not np.array_equal(buffer, values))
+        # a merge writes into the buffer's off-diagonal entries, a demotion does not
+        off = ~np.eye(len(values), dtype=bool)
+        assert np.array_equal(buffer[off], np.array(values)[off]) == (demoted or not consumed)
 
     def test_lwea_and_eac_consume_a_no_repeat_matrix(self, monkeypatch):
         import lwec.evidence as evidence
