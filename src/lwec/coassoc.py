@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .ensemble import EnsembleView, _write_text, relabel_first_appearance
+from .ensemble import EnsembleView, _distinct_rows, _write_text
 from .validity import ValidityReport
 
 __all__ = ["CoassocMatrix", "build_ca", "build_lwca", "write_lower_triangle"]
@@ -60,9 +60,14 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
     """Add each cluster's weight to every pair of its members, then divide by M,
     over one representative object per microcluster. Clusters go in id order,
     so every entry is the same sum, added in the same order, as the N x N
-    entry of its representatives. Returns a `CoassocMatrix`'s `values` and
-    `leaf`, still writable: the builders freeze them, and the average-link
-    path of `lwea` and `eac` works in `values` in place.
+    entry of its representatives. Returns a `CoassocMatrix`'s `values`, still
+    writable (the builders freeze it, and the average-link path of `lwea` and
+    `eac` works in it in place), and its `leaf`.
+
+    The microclusters are the view's distinct label rows (`view._rows`, so
+    `leaf` is that numbering itself) when every weight is positive; otherwise
+    rows that agree on every positive-weight cluster are merged, over the p
+    label rows only.
 
     A cluster with c representative rows adds to the c(c+1)/2 cells of one
     triangle only (row >= column, so each row's cells are written together),
@@ -72,13 +77,14 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
     two of at most SCATTER_PAIRS entries per scatter call, and the mirror's
     MIRROR_BLOCK x p block; no second p x p array.
     """
-    # number the distinct rows of positive-weight cluster ids one column at a time
-    key = np.zeros(view.n_objects, dtype=np.int64)
-    for column in np.where(weights[view.cluster_ids] > 0, view.cluster_ids, -1).T:
-        _, key = np.unique(key * (view.n_clusters + 1) + column + 1, return_inverse=True)
-    # then renumber them by smallest member, the row's representative
-    leaf = relabel_first_appearance(key)
-    first = np.unique(leaf, return_index=True)[1]
+    leaf, first, _ = view._rows
+    if not (weights > 0).all():
+        # merge the label rows that agree on every positive-weight cluster: a
+        # zero-weight cluster reads as one more label of its column
+        radices = np.array(view.labels.clusters_per_column)
+        live = weights[view.cluster_ids[first]] > 0
+        merged, rep, _ = _distinct_rows(np.where(live, view.labels.labels[first], radices), radices + 1)
+        leaf, first = merged[leaf], first[rep]
     p = first.size
     is_rep = np.zeros(view.n_objects, dtype=bool)
     is_rep[first] = True

@@ -67,6 +67,33 @@ def relabel_first_appearance(labels: np.ndarray) -> np.ndarray:
     return dense
 
 
+def _distinct_rows(table: np.ndarray, radices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the distinct rows of an N x M table of non-negative ints, column
+    m below radices[m], by first appearance, so also by smallest object:
+    returns (row, first, counts), where row[i] is object i's row, first[r]
+    row r's smallest object and counts[r] its object count.
+
+    The columns are packed into one int64 key, each column's radix times the
+    key so far plus its value. `np.unique` renumbers the key densely only
+    when the next column could take it past 2^62; `relabel_first_appearance`
+    then numbers it.
+    """
+    n = table.shape[0]
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1  # every key so far is below it
+    for column, radix in zip(table.T, map(int, radices)):
+        if bound * radix > 1 << 62:
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = uniq.size
+        key = key * radix + column
+        bound *= radix
+    row = relabel_first_appearance(key)
+    counts = np.bincount(row)
+    first = np.empty(counts.size, dtype=np.int64)
+    first[row[::-1]] = np.arange(n - 1, -1, -1)
+    return row, first, counts
+
+
 @dataclass(frozen=True)
 class LabelMatrix:
     """N x M integer matrix; column m holds base clustering m as dense 0-based labels."""
@@ -121,7 +148,12 @@ class LabelMatrix:
 class EnsembleView:
     """Label matrix plus cluster_ids[i, m], the pooled id of object i's cluster in
     column m: the only representation of the pooled clusters. Column m's clusters
-    get ids column_offsets[m] .. column_offsets[m + 1] - 1, in dense label order."""
+    get ids column_offsets[m] .. column_offsets[m + 1] - 1, in dense label order.
+
+    Objects with equal label rows are interchangeable to the cluster
+    uncertainty, the co-association and the bipartite graph, so those passes
+    run once per distinct row (`_rows`, numbered once per view) and gather
+    their per-object results through it."""
 
     labels: LabelMatrix
     column_offsets: np.ndarray
@@ -153,6 +185,15 @@ class EnsembleView:
             order.flags.writeable = False
             out.extend(np.split(order, np.cumsum(np.bincount(column))[:-1]))
         return tuple(out)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_distinct_rows` of the label matrix, (row, first, counts): built on
+        first use, then kept read-only for the view's lifetime."""
+        rows = _distinct_rows(self.labels.labels, self.labels.clusters_per_column)
+        for array in rows:
+            array.flags.writeable = False
+        return rows
 
     @cached_property
     def _uncertainty(self) -> np.ndarray:

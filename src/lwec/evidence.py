@@ -320,17 +320,27 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> ConsensusResult:
     Labels are assigned 0..k-1 in order of each cluster's smallest member;
     the result's method is "average-link".
     """
+    return ConsensusResult(labels=_cuts(dendrogram, [k])[0], k=k, method="average-link")
+
+
+def _cuts(dendrogram: Dendrogram, ks) -> list[np.ndarray]:
+    """`cut_dendrogram`'s labels at every k of `ks`, from one replay of the
+    merges: the cuts go from the largest k down, each applying only the
+    merges since the last and pointer-jumping from its roots."""
     n = dendrogram.n_leaves
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    # every region is a child of at most one merge, so each parent is set once
-    done = dendrogram.merges[: n - k]
     parent = np.arange(2 * n - 1)
-    parent[done.left] = done.new_id
-    parent[done.right] = done.new_id
-    while not np.array_equal(parent[parent], parent):
-        parent = parent[parent]  # pointer jumping: every node ends at its root
-    return ConsensusResult(labels=relabel_first_appearance(parent[:n]), k=k, method="average-link")
+    done, labels = 0, {}
+    for k in sorted(set(ks), reverse=True):
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {k}")
+        # every region is a child of at most one merge, so each parent is set once
+        step = dendrogram.merges[done : n - k]
+        parent[step.left] = step.new_id
+        parent[step.right] = step.new_id
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]  # pointer jumping: every node ends at its root
+        done, labels[k] = n - k, relabel_first_appearance(parent[:n])
+    return [labels[k] for k in ks]
 
 
 def lwea(

@@ -10,12 +10,13 @@ after partitioning and only object segments are reported.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ensemble import ConsensusResult, EnsembleView, relabel_first_appearance
+from .ensemble import ConsensusResult, EnsembleView, _distinct_rows, relabel_first_appearance
 from .kmeans import kmeans
 from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
 
@@ -63,10 +64,16 @@ class BipartiteGraph:
     every edge into cluster c weighs weights[c], the cluster's ECI. A cluster
     of weight 0 has no edges. The M clusters of a row are distinct, as in
     every EnsembleView, where each column numbers its own clusters.
+
+    Objects with equal rows of cluster_ids have equal edges, so the passes
+    that see an object only through its edges run once per distinct row:
+    `rows` is the (row, first, counts) numbering of `_distinct_rows`, handed
+    over from the view by `build_lwbg` and otherwise built on first use.
     """
 
     cluster_ids: np.ndarray
     weights: np.ndarray
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_objects(self) -> int:
@@ -76,13 +83,20 @@ class BipartiteGraph:
     def n_clusters(self) -> int:
         return self.weights.size
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.rows is not None:
+            return self.rows
+        return _distinct_rows(self.cluster_ids, [self.cluster_ids.max() + 1] * self.cluster_ids.shape[1])
 
-def _require_live_edges(cluster_ids: np.ndarray, weights: np.ndarray, advice: str = "") -> None:
+
+def _require_live_edges(graph: BipartiteGraph, advice: str = "") -> None:
     """Raise ValueError naming the first object whose clusters all weigh 0."""
-    isolated = np.flatnonzero(~(weights > 0)[cluster_ids].any(axis=1))
+    _, first, counts = graph._rows
+    isolated = np.flatnonzero(~(graph.weights > 0)[graph.cluster_ids[first]].any(axis=1))
     if isolated.size:
         raise ValueError(
-            f"{isolated.size} objects (first {isolated[0]}) have only zero-weight clusters{advice}"
+            f"{counts[isolated].sum()} objects (first {first[isolated[0]]}) have only zero-weight clusters{advice}"
         )
 
 
@@ -95,10 +109,9 @@ def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
         raise ValueError(
             f"report covers {len(report.eci)} clusters, view has {view.n_clusters}"
         )
-    _require_live_edges(
-        view.cluster_ids, report.eci, f" at theta={report.theta:g}; use a larger theta"
-    )
-    return BipartiteGraph(cluster_ids=view.cluster_ids, weights=report.eci)
+    graph = BipartiteGraph(cluster_ids=view.cluster_ids, weights=report.eci, rows=view._rows)
+    _require_live_edges(graph, f" at theta={report.theta:g}; use a larger theta")
+    return graph
 
 
 class _Edges(NamedTuple):
@@ -108,13 +121,16 @@ class _Edges(NamedTuple):
     m-th cluster, and weights[i, m] is that edge's weight divided by the
     largest edge weight (the normalized cut is scale-invariant). An edge into
     a zero-weight cluster has column 0 and weight 0. degrees holds the
-    N + n_c node degrees, objects first.
+    N + n_c node degrees, objects first. row and first are the graph's
+    distinct-row numbering: object i has the edges of object first[row[i]].
     """
 
     columns: np.ndarray
     weights: np.ndarray
     n_clusters: int
     degrees: np.ndarray
+    row: np.ndarray
+    first: np.ndarray
 
 
 def _edges(graph: BipartiteGraph) -> _Edges:
@@ -125,27 +141,31 @@ def _edges(graph: BipartiteGraph) -> _Edges:
     weights /= weights.max()
     nc = int(keep.sum())
     cluster_degrees = np.bincount(columns.ravel(), weights=weights.ravel(), minlength=nc)
-    return _Edges(columns, weights, nc, np.concatenate([weights.sum(axis=1), cluster_degrees]))
+    row, first, _ = graph._rows
+    return _Edges(columns, weights, nc, np.concatenate([weights.sum(axis=1), cluster_degrees]), row, first)
 
 
 def _connected_components(graph: BipartiteGraph) -> np.ndarray:
     """Component id per object node; zero-weight clusters join nothing.
 
-    Min-label propagation object -> cluster -> object plus pointer jumping
-    (a label always names an object of the same component), until each
-    component carries its least object index.
+    Min-label propagation row -> cluster -> row over the graph's p distinct
+    rows plus pointer jumping (a label always names a row of the same
+    component), until each component carries its least row, which holds its
+    least object, as rows are numbered by first appearance.
     """
-    ids = graph.cluster_ids
+    row, first, _ = graph._rows
+    ids = graph.cluster_ids[first]
     dead = ~(graph.weights > 0)
-    comp = np.arange(graph.n_objects)
+    p = first.size
+    comp = np.arange(p)
     while True:
-        low = np.full(graph.n_clusters, graph.n_objects)
+        low = np.full(graph.n_clusters, p)
         np.minimum.at(low, ids, comp[:, None])
-        low[dead] = graph.n_objects
+        low[dead] = p
         step = np.minimum(comp, low[ids].min(axis=1))
         step = step[step]
         if np.array_equal(step, comp):
-            return relabel_first_appearance(comp)
+            return relabel_first_appearance(comp)[row]
         comp = step
 
 
@@ -157,7 +177,7 @@ def _cluster_graph(edges: _Edges, share: np.ndarray) -> np.ndarray:
     (row, cluster) keys of all N x M edges fills those rows. Memory stays
     O(N M + n_c^2); no N x M^2 pair list and no N x n_c matrix is built.
     """
-    columns, weights, nc, _ = edges
+    columns, weights, nc = edges.columns, edges.weights, edges.n_clusters
     w_c = np.zeros((nc, nc))
     for a in range(columns.shape[1]):
         live = weights[:, a] > 0
@@ -174,11 +194,14 @@ def _cluster_graph(edges: _Edges, share: np.ndarray) -> np.ndarray:
 
 
 def _transfer(edges: _Edges, share: np.ndarray, f_cluster: np.ndarray) -> np.ndarray:
-    """Object rows of D_o^-1 B f_cluster, an M-term sum per object."""
-    f_obj = np.zeros((edges.columns.shape[0], f_cluster.shape[1]))
+    """Object rows of D_o^-1 B f_cluster, an M-term sum per object, made once
+    per distinct row (the same operations, in the same order, as each of its
+    objects') and gathered."""
+    share, columns = share[edges.first], edges.columns[edges.first]
+    f_rows = np.zeros((edges.first.size, f_cluster.shape[1]))
     for m in range(share.shape[1]):
-        f_obj += share[:, m, None] * f_cluster[edges.columns[:, m]]
-    return f_obj
+        f_rows += share[:, m, None] * f_cluster[columns[:, m]]
+    return f_rows[edges.row]
 
 
 def _top_eigenvectors(sym: np.ndarray, k: int) -> np.ndarray:
@@ -340,7 +363,7 @@ def _refine_partition(
     a CSR of the live edges, built once). A pass costs O((N + n_c) k) array
     work plus one block evaluation per move.
     """
-    columns, weights, nc, deg = edges
+    columns, weights, nc, deg = edges.columns, edges.weights, edges.n_clusters, edges.degrees
     n, m = columns.shape
     nodes = n + nc
     live = weights > 0
@@ -348,7 +371,8 @@ def _refine_partition(
     cluster_weight[columns[live]] = weights[live]
     member_of = columns[live]
     objects = np.broadcast_to(np.arange(n)[:, None], (n, m))[live]
-    members = objects[np.argsort(member_of, kind="stable")]
+    # a stable sort of ints of 16 bits or less is a radix sort: same permutation
+    members = objects[np.argsort(member_of.astype(np.min_scalar_type(nc)), kind="stable")]
     starts = np.concatenate([[0], np.cumsum(np.bincount(member_of, minlength=nc))])
 
     full = np.empty(nodes, dtype=np.int64)
@@ -434,11 +458,15 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     agree unless k-means meets a tie within rounding. At 1,020 clusters the
     Lanczos takes about 40 ms against 0.25 s for the eigh.
 
-    Every step reads the N x M edges of `graph.cluster_ids` (see `_Edges`):
-    object degrees, the embedding and the sweeps are M-term sums or bincounts
-    over edges, W_c is filled by `_cluster_graph`, and the refinement is the
-    block scan of `_refine_partition`. Memory is O(N M + n_c^2); no dense
-    N x n_c affinity is built.
+    The steps read the N x M edges of `graph.cluster_ids` (see `_Edges`).
+    Objects with equal rows have equal edges, so the live-edge check, the
+    components and the transfers of the embedding and the sweeps run once
+    per distinct row and are gathered to the objects, with each row's
+    M-term sum made as each of its objects' would be. W_c
+    (`_cluster_graph`), the degrees, k-means and the refinement's block
+    scan (`_refine_partition`) run over the objects, in object order, so
+    every sum keeps its bits. Memory is O(N M + n_c^2); no dense N x n_c
+    affinity is built.
 
     If the graph splits into more than k connected components, components are
     assigned greedily to k labels instead (largest k-1 kept apart, remainder
@@ -450,7 +478,7 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
         raise ValueError(
             f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}"
         )
-    _require_live_edges(graph.cluster_ids, graph.weights)
+    _require_live_edges(graph)
     components = _connected_components(graph)
     n_components = int(components.max()) + 1
     if n_components > k:

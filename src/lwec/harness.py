@@ -15,7 +15,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .ensemble import EnsembleView, LabelMatrix, _parse_table, _write_text, build_ensemble_view
-from .evidence import _dendrogram, cut_dendrogram
+from .evidence import _cuts, _dendrogram
 from .coassoc import _ca, _lwca
 from .graphcut import lwgp
 from .kmeans import kmeans
@@ -283,11 +283,9 @@ def _score_methods(
     ks = list(range(2, sqrt_k_ceiling(truth.size) + 1)) if best_k else [k]
     report = annotate_validity(view, theta)
     scores: dict[str, float] = {}
-    lw_dendro = _dendrogram(*_lwca(view, report))
-    scores["lwea"] = max(nmi(cut_dendrogram(lw_dendro, kk).labels, truth) for kk in ks)
+    scores["lwea"] = max(nmi(labels, truth) for labels in _cuts(_dendrogram(*_lwca(view, report)), ks))
     if with_eac:
-        ca_dendro = _dendrogram(*_ca(view))
-        scores["eac"] = max(nmi(cut_dendrogram(ca_dendro, kk).labels, truth) for kk in ks)
+        scores["eac"] = max(nmi(labels, truth) for labels in _cuts(_dendrogram(*_ca(view)), ks))
     graph_ks = [kk for kk in ks if kk <= min(truth.size, view.n_clusters)] or ks[:1]
     scores["lwgp"] = max(
         nmi(lwgp(view, kk, seed=seed, report=report).labels, truth) for kk in graph_ks

@@ -43,16 +43,21 @@ def uncertainty_table(view: EnsembleView) -> np.ndarray:
 def _uncertainty_table(view: EnsembleView) -> np.ndarray:
     """Build `uncertainty_table(view)`. For each target column m, one bincount
     over `cluster_ids * k_m + labels[:, m]` counts every cluster's members per
-    column-m cluster at once, so the whole table is M bincounts over N x M
-    keys, O(N * M^2) work.
+    column-m cluster at once, so the whole table is M bincounts. They run
+    over the p distinct label rows of `view._rows`, p x M keys each weighted
+    by its row's object count: the counts are exact integers, so every
+    entropy has the bits of the N x M count. O(p * M^2) work.
     """
-    labels = view.labels.labels
+    _, first, sizes = view._rows
+    labels = view.labels.labels[first]
+    ids = view.cluster_ids[first]
+    weight = np.repeat(sizes.astype(np.float64), view.n_clusterings)
     counts = view.labels.clusters_per_column
     offsets = view.column_offsets
     table = np.zeros((view.n_clusters, view.n_clusterings))
     for b, k_b in enumerate(counts):
-        keys = view.cluster_ids * k_b + labels[:, b, None]
-        pairs = np.bincount(keys.ravel(), minlength=view.n_clusters * k_b).reshape(-1, k_b)
+        keys = ids * k_b + labels[:, b, None]
+        pairs = np.bincount(keys.ravel(), weight, minlength=view.n_clusters * k_b).reshape(-1, k_b)
         p = pairs / pairs.sum(axis=1, keepdims=True)
         safe_p = np.where(pairs > 0, p, 1.0)
         ent = -(p * np.log2(safe_p)).sum(axis=1)

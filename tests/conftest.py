@@ -75,6 +75,13 @@ def blob_voronoi_view(n, ks, seed, noise=0.0):
     return build_ensemble_view(LabelMatrix.from_array(np.column_stack(columns)))
 
 
+def repeated_rows(seed: int, n: int = 2000, rows: int = 30, m: int = 6, k: int = 4) -> np.ndarray:
+    """n label rows drawn from `rows` random rows of m columns of k labels:
+    groups of about n / rows objects share a row."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, k, size=(rows, m))[rng.integers(0, rows, size=n)]
+
+
 def random_label_array(rng: np.random.Generator, n: int, m: int, max_clusters: int = 5) -> np.ndarray:
     """Random dense label matrix with 2..max_clusters non-empty clusters per column."""
     cols = []

@@ -81,6 +81,19 @@ def uncertainty_table_pairwise_ref(view) -> np.ndarray:
     return table
 
 
+def distinct_rows_ref(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, first, counts) of a table's distinct rows from one sort of the
+    rows, renumbered by first appearance: row[i] numbers object i's row,
+    first[r] is row r's smallest object, counts[r] its object count."""
+    _, index, inverse, counts = np.unique(
+        np.asarray(table), axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(index)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.reshape(-1)], index[order], counts[order]
+
+
 def eci_decimal(uncertainty: float, theta: float, ensemble_size: int, digits: int = 50) -> float:
     """Arbitrary-precision evaluation of exp(-u / (theta * M))."""
     getcontext().prec = digits
@@ -451,8 +464,9 @@ def refine_partition_loop_ref(
 # ---------------------------------------------------------------------------
 # the row-by-row label-matrix parser, the joined-cell table parser, the sorting
 # label numbering, the node-pair k = 2 cut oracle, the N x N co-association
-# accumulation, the full-eigh embedding and the per-cluster k-means step with
-# its eager pool that lwec replaced; kept to check the replacements exactly
+# accumulation, the full-eigh embedding, the per-object transfer and the
+# per-cluster k-means step with its eager pool that lwec replaced; kept to
+# check the replacements exactly
 
 
 def parse_label_matrix_loop_ref(source):
@@ -604,6 +618,15 @@ def embedding_eigh_ref(edges, k: int) -> np.ndarray:
     norms = np.linalg.norm(f_obj, axis=1)
     norms[norms == 0] = 1.0
     return f_obj / norms[:, None]
+
+
+def transfer_objects_ref(edges, share: np.ndarray, f_cluster: np.ndarray) -> np.ndarray:
+    """`lwec.graphcut._transfer` before it ran once per distinct row,
+    verbatim: object rows of D_o^-1 B f_cluster, an M-term sum per object."""
+    f_obj = np.zeros((edges.columns.shape[0], f_cluster.shape[1]))
+    for m in range(share.shape[1]):
+        f_obj += share[:, m, None] * f_cluster[edges.columns[:, m]]
+    return f_obj
 
 
 def _squared_distances_ref(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

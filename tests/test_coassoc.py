@@ -169,6 +169,20 @@ class TestMicroclusterStorage:
         assert np.array_equal(lwca.dense(), ref.coassoc_dense_ref(blob_view_m20, report.eci))
         assert lwca.values.shape[0] <= np.unique(blob_view_m20.cluster_ids, axis=0).shape[0]
 
+    @pytest.mark.parametrize("dead, p", [([], 6), ([4, 5, 6], 3), ([5, 6], 4), ([0, 5, 6], 4), ([2, 5], 6)])
+    def test_rows_agreeing_on_live_clusters_share_a_row(self, dead, p):
+        # label rows merge where they differ only at zero-weight clusters
+        arr = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 2], [0, 1, 0], [1, 1, 1], [0, 0, 2], [1, 1, 2]])
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        weights = np.ones(view.n_clusters)
+        weights[dead] = 0.0  # clusters 4, 5, 6 are column 2's, 0 and 1 column 0's
+        report = ValidityReport(uncertainty=np.zeros_like(weights), eci=weights, theta=0.4, ensemble_size=3)
+        ids = view.cluster_ids
+        leaf = build_lwca(view, report).leaf
+        assert np.array_equal(leaf, ref.distinct_rows_ref(np.where(weights[ids] > 0, ids, -1))[0])
+        assert leaf.max() + 1 == p
+        assert np.array_equal(build_ca(view).leaf, view._rows[0])
+
     def test_rows_numbered_by_smallest_member(self):
         arr = np.array([[1, 0], [0, 1], [1, 0], [0, 0], [0, 1]])
         ca = build_ca(build_ensemble_view(LabelMatrix.from_array(arr)))

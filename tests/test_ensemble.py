@@ -8,19 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lwec import (
+    BipartiteGraph,
     ConsensusResult,
     DegenerateClusteringWarning,
     LabelMatrix,
+    annotate_validity,
+    build_ca,
     build_ensemble_view,
+    build_lwbg,
+    build_lwca,
+    eac,
+    lwea,
+    lwgp,
     parse_label_matrix,
     read_labels,
     write_label_matrix,
     write_labels,
 )
-from lwec.ensemble import _dense_remap, relabel_first_appearance
+from lwec import ensemble
+from lwec.ensemble import _dense_remap, _distinct_rows, relabel_first_appearance
 
 import reference as ref
-from conftest import column_members, label_arrays, random_label_array
+from conftest import column_members, label_arrays, random_label_array, repeated_rows
 
 
 class TestParsing:
@@ -170,6 +179,89 @@ class TestNumberingAgainstSort:
         assert dense.dtype == np.int64 and dense.tolist() == want_dense.tolist()
         assert original == want_original
         assert all(type(v) is int for v in original)
+
+
+class TestDistinctRows:
+    """The view numbers its distinct label rows once, by first appearance:
+    `np.unique` over the rows, renumbered, gives the same numbering."""
+
+    @staticmethod
+    def check(arr):
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        got = view._rows
+        for have, want in zip(got, ref.distinct_rows_ref(view.labels.labels)):
+            assert have.dtype == np.int64 and np.array_equal(have, want)
+        row, first, counts = got
+        assert np.array_equal(row[first], np.arange(first.size))
+        assert np.array_equal(np.bincount(row), counts)
+        assert np.array_equal(np.unique(row, return_index=True)[1], first)
+        assert not any(array.flags.writeable for array in got)
+        assert view._rows is got
+        return got
+
+    @given(label_arrays(max_n=30, max_m=5, max_clusters=6))
+    @settings(max_examples=150)
+    def test_equals_sorted_rows(self, arr):
+        self.check(arr)
+
+    def test_all_rows_equal(self):
+        with pytest.warns(DegenerateClusteringWarning):
+            row, first, counts = self.check(np.full((7, 3), 4))
+        assert row.tolist() == [0] * 7 and first.tolist() == [0] and counts.tolist() == [7]
+
+    def test_all_rows_distinct(self):
+        rng = np.random.default_rng(2)
+        row, first, counts = self.check(rng.permutation(50)[:, None] * np.ones(3, dtype=int))
+        assert row.tolist() == first.tolist() == list(range(50)) and (counts == 1).all()
+
+    def test_repeated_rows(self):
+        row, _, counts = self.check(repeated_rows(17))
+        assert counts.sum() == 2000 and counts.size <= 30
+
+    def test_wide_keys_are_renumbered(self, monkeypatch):
+        # 60 columns of 32 labels: 32^60 keys, far past 2^62, so the packed
+        # key is renumbered every dozen columns
+        rng = np.random.default_rng(9)
+        base = np.column_stack([rng.permutation(np.arange(300) % 32) for _ in range(60)])
+        arr = base[rng.integers(0, 300, size=400)]
+        arr[:300] = base
+        renumbered = []
+        unique = np.unique
+
+        def spy(a, *args, **kwargs):
+            renumbered.append(a.size)
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        row, _, counts = self.check(arr)
+        assert len(renumbered) >= 5 and counts.size == 300
+        assert np.array_equal(row, _distinct_rows(arr, [1 << 40] * 60)[0])
+
+    def test_graph_numbers_its_own_rows(self):
+        arr = repeated_rows(5, n=300)
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        graph = BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
+        for have, want in zip(graph._rows, view._rows):
+            assert np.array_equal(have, want)
+        assert build_lwbg(view, annotate_validity(view, 0.4)).rows is view._rows
+
+    def test_numbered_once_per_view(self, monkeypatch):
+        calls = []
+        number = ensemble._distinct_rows
+
+        def spy(table, radices):
+            calls.append(table)
+            return number(table, radices)
+
+        monkeypatch.setattr(ensemble, "_distinct_rows", spy)
+        view = build_ensemble_view(LabelMatrix.from_array(repeated_rows(3, n=300)))
+        report = annotate_validity(view, 0.4)
+        lwea(view, 3, report=report)
+        eac(view, 3)
+        lwgp(view, 3, report=report)
+        build_ca(view)
+        assert len(calls) == 1 and calls[0] is view.labels.labels
+        assert build_lwca(view, report).leaf is view._rows[0]
 
 
 class TestEnsembleView:

@@ -24,7 +24,7 @@ from lwec import (
 
 from lwec.coassoc import _ca
 from lwec.ensemble import relabel_first_appearance
-from lwec.evidence import _dendrogram, _intra
+from lwec.evidence import _cuts, _dendrogram, _intra
 
 import reference as ref
 from conftest import blob_voronoi_view, label_arrays, random_label_array
@@ -468,6 +468,19 @@ class TestCutDendrogram:
             assert len(pairs) == k + 1
             coarse_ids = [c for _, c in pairs]
             assert len(set(coarse_ids)) == k
+
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_every_k_from_one_replay(self, n):
+        rng = np.random.default_rng(n)
+        d = build_dendrogram(sym_matrix(random_similarity(rng, n)))
+        ks = [2, n, 1, max(1, n // 3), 2, n - 1]  # unsorted, with a repeat
+        cuts = _cuts(d, ks)
+        assert len(cuts) == len(ks)
+        for k, labels in zip(ks, cuts):
+            assert np.array_equal(labels, cut_dendrogram(d, k).labels)
+            assert np.array_equal(labels, ref.cut_ref(merge_tuples(d), n, k))
+        with pytest.raises(ValueError):
+            _cuts(d, [2, n + 1])
 
     def test_labels_ordered_by_smallest_member(self):
         rng = np.random.default_rng(77)

@@ -25,7 +25,7 @@ from lwec import graphcut
 from lwec.graphcut import SYMMETRIZE_BLOCK, _connected_components
 
 import reference as ref
-from conftest import blob_voronoi_view, label_arrays, random_label_array
+from conftest import blob_voronoi_view, label_arrays, random_label_array, repeated_rows
 
 
 def graph_from(view, theta=0.5):
@@ -486,6 +486,72 @@ class TestSparseSpectral:
             f_obj = graphcut._transfer(edges, share, f_cluster)
             assert np.allclose(f_obj, dense_share @ f_cluster, rtol=1e-12, atol=1e-15)
         assert dead_columns > 0
+
+
+def live_labels(graph):
+    """The graph's cluster ids with each edge into a zero-weight cluster
+    replaced by a label of its own: the label matrix `components_ref` joins
+    as the graph's live edges do."""
+    n, m = graph.cluster_ids.shape
+    own = graph.n_clusters + np.arange(n * m).reshape(n, m)
+    return np.where(graph.weights[graph.cluster_ids] > 0, graph.cluster_ids, own)
+
+
+class TestRepeatedRows:
+    """The passes that run once per distinct label row (components, the
+    live-edge check, the transfer, the refinement's member CSR) equal the
+    per-object oracles bit for bit where most rows repeat, and on graphs
+    with zero-weight clusters and columns."""
+
+    def graphs(self):
+        rng = np.random.default_rng(131)
+        for seed in (17, 18):
+            view = build_ensemble_view(LabelMatrix.from_array(repeated_rows(seed)))
+            yield BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
+            weights = rng.uniform(0.05, 1.0, view.n_clusters)
+            weights[view.column_offsets[1]:view.column_offsets[2]] = 0.0  # one dead column
+            weights[view.column_offsets[3]] = 0.0
+            yield BipartiteGraph(view.cluster_ids, weights)
+        # three blocks of rows that share no label: three components
+        rows = rng.integers(0, 2, size=(30, 5)) + 2 * (np.arange(30) % 3)[:, None]
+        view = build_ensemble_view(LabelMatrix.from_array(rows[rng.integers(0, 30, size=2000)]))
+        yield BipartiteGraph(view.cluster_ids, rng.uniform(0.05, 1.0, view.n_clusters))
+        yield from TestSparseSpectral().graphs()
+
+    def test_passes_equal_the_per_object_oracles(self):
+        rng = np.random.default_rng(137)
+        components = set()
+        for graph in self.graphs():
+            got = _connected_components(graph)
+            assert np.array_equal(got, ref.components_ref(live_labels(graph)))
+            components.add(int(got.max()) + 1)
+            edges = graphcut._edges(graph)
+            share = edges.weights / edges.degrees[: graph.n_objects, None]
+            f_cluster = rng.standard_normal((edges.n_clusters, 3))
+            want = ref.transfer_objects_ref(edges, share, f_cluster)
+            assert np.array_equal(graphcut._transfer(edges, share, f_cluster), want)
+        assert {1, 3} <= components
+
+    def test_isolated_objects_are_counted_through_their_rows(self):
+        view = build_ensemble_view(LabelMatrix.from_array(repeated_rows(17)))
+        ids = view.cluster_ids
+        weights = np.ones(view.n_clusters)
+        weights[ids[1000]] = 0.0  # every cluster of object 1000's row weighs 0
+        isolated = np.flatnonzero((ids == ids[1000]).all(axis=1))
+        assert 1 < isolated.size < 1000 < isolated[-1]
+        with pytest.raises(ValueError, match=rf"^{isolated.size} objects \(first {isolated[0]}\)"):
+            tcut_partition(BipartiteGraph(view.cluster_ids, weights), 3)
+
+    def test_refinement_with_wide_cluster_ids(self):
+        # n_c = 300 > 255: the member CSR sorts uint16 cluster ids
+        rng = np.random.default_rng(139)
+        rows = exact_label_array(rng, 300, (100, 100, 100))
+        arr = np.vstack([rows, rows[rng.integers(0, 300, size=200)]])
+        view = build_ensemble_view(LabelMatrix.from_array(arr))
+        graph = BipartiteGraph(view.cluster_ids, rng.choice([0.25, 0.5, 1.0], view.n_clusters))
+        assert np.min_scalar_type(graph.n_clusters) == np.uint16
+        labels = rng.integers(0, 3, size=graph.n_objects)
+        TestRefineBlockScan().check(graph, labels, 3, 100, exact=True)
 
 
 class TestTopEigenvectors:

@@ -265,6 +265,32 @@ class TestExperiment:
             values = [r.value for r in rows if r.method == method]
             assert tuple(values) == grid
 
+    def test_best_k_cuts_each_dendrogram_in_one_pass(self, monkeypatch, blobs):
+        import lwec.harness as harness
+        from lwec import build_ensemble_view, cut_dendrogram, lwgp
+        from lwec.coassoc import _ca, _lwca
+        from lwec.evidence import _dendrogram
+        from lwec.validity import annotate_validity
+
+        x, y = blobs
+        pool = generate_pool(x, ExperimentConfig(pool_size=8, ensemble_size=8, seed=3))
+        view = build_ensemble_view(draw_ensemble(pool, 8, seed=4))
+        ks = list(range(2, sqrt_k_ceiling(y.size) + 1))
+        calls = []
+        cuts = harness._cuts
+
+        def counting(dendrogram, wanted):
+            calls.append(list(wanted))
+            return cuts(dendrogram, wanted)
+
+        monkeypatch.setattr(harness, "_cuts", counting)
+        scores = harness._score_methods(view, y, 3, 0.4, 5, best_k=True)
+        assert calls == [ks, ks]
+        report = annotate_validity(view, 0.4)
+        for method, dendrogram in (("lwea", _dendrogram(*_lwca(view, report))), ("eac", _dendrogram(*_ca(view)))):
+            assert scores[method] == max(nmi(cut_dendrogram(dendrogram, k).labels, y) for k in ks)
+        assert scores["lwgp"] == max(nmi(lwgp(view, k, seed=5, report=report).labels, y) for k in ks)
+
     def test_theta_grid_builds_plain_coassociation_once_per_draw(self, monkeypatch):
         import lwec.harness as harness
 

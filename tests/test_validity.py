@@ -21,7 +21,7 @@ from lwec import validity
 from lwec.validity import write_validity_csv
 
 import reference as ref
-from conftest import WORKED_UNCERTAINTY, column_members, label_arrays, random_label_array
+from conftest import WORKED_UNCERTAINTY, column_members, label_arrays, random_label_array, repeated_rows
 
 
 def cluster_sources(view) -> np.ndarray:
@@ -134,6 +134,15 @@ class TestUncertaintyTableBits:
         arr = np.column_stack(columns)
         view = build_ensemble_view(LabelMatrix.from_array(arr))
         assert view.n_clusterings == 60
+        assert np.array_equal(uncertainty_table(view), ref.uncertainty_table_pairwise_ref(view))
+
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_equals_pairwise_loop_on_repeated_rows(self, seed):
+        # 2,000 objects over at most 30 label rows: the bincounts run over
+        # those rows, weighted by their object counts
+        view = build_ensemble_view(LabelMatrix.from_array(repeated_rows(seed)))
+        assert view._rows[1].size <= 30
         assert np.array_equal(uncertainty_table(view), ref.uncertainty_table_pairwise_ref(view))
 
 
