@@ -86,20 +86,21 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
         merged, rep, _ = _distinct_rows(np.where(live, view.labels.labels[first], radices), radices + 1)
         leaf, first = merged[leaf], first[rep]
     p = first.size
-    is_rep = np.zeros(view.n_objects, dtype=bool)
-    is_rep[first] = True
-    # a cluster's rows come out ascending, since rows are numbered by their
-    # representatives. Row j of the triangle holds j + 1 pairs; `low` lists
-    # their columns for the largest cluster, row after row, so its first
-    # c(c+1)/2 entries serve any c-row cluster.
-    c_max = np.bincount(view.cluster_ids[first].ravel()).max()
+    # each cluster's rows, ascending: a stable sort of the p x M row ids keeps
+    # their row order, and a cluster holds one id of each of its rows. Row j
+    # of the triangle holds j + 1 pairs; `low` lists their columns for the
+    # largest cluster, row after row, so its first c(c+1)/2 entries serve any
+    # c-row cluster.
+    ids = view.cluster_ids[first].ravel()
+    sizes = np.bincount(ids, minlength=view.n_clusters)
+    cluster_rows = np.split(np.argsort(ids, kind="stable") // view.n_clusterings, np.cumsum(sizes)[:-1])
+    c_max = sizes.max()
     low = np.tril_indices(c_max)[1]
     row_pairs = np.arange(1, c_max + 1)
     step = max(1, SCATTER_PAIRS // c_max)  # triangle rows per scatter
     values = np.zeros((p, p))
     flat = values.ravel()
-    for members, weight in zip(view.members(), weights):
-        rows = leaf[members[is_rep[members]]]
+    for rows, weight in zip(cluster_rows, weights):
         for j0 in range(0, rows.size, step):
             j1 = min(j0 + step, rows.size)
             cells = np.repeat(rows[j0:j1] * p, row_pairs[j0:j1])

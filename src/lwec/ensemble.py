@@ -171,21 +171,6 @@ class EnsembleView:
     def n_clusters(self) -> int:
         return int(self.column_offsets[-1])
 
-    def members(self) -> tuple[np.ndarray, ...]:
-        """Member indices of every pooled cluster, in cluster-id order, each
-        sorted and read-only: built on first use, then kept for the view's
-        lifetime."""
-        return self._members
-
-    @cached_property
-    def _members(self) -> tuple[np.ndarray, ...]:
-        out: list[np.ndarray] = []
-        for column in self.labels.labels.T:
-            order = np.argsort(column, kind="stable")
-            order.flags.writeable = False
-            out.extend(np.split(order, np.cumsum(np.bincount(column))[:-1]))
-        return tuple(out)
-
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`_distinct_rows` of the label matrix, (row, first, counts): built on

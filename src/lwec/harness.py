@@ -149,7 +149,7 @@ def generate_pool(
     ]
 
 
-def _draw_members(pool_size: int, m: int, seed) -> np.ndarray:
+def _draw_indices(pool_size: int, m: int, seed) -> np.ndarray:
     if not 1 <= m <= pool_size:
         raise ValueError(f"ensemble size must be in [1, {pool_size}], got {m}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -158,7 +158,7 @@ def _draw_members(pool_size: int, m: int, seed) -> np.ndarray:
 
 def draw_ensemble(pool: list[np.ndarray], m: int, seed=0) -> LabelMatrix:
     """Select m distinct pool members uniformly without replacement, column-wise."""
-    chosen = _draw_members(len(pool), m, seed)
+    chosen = _draw_indices(len(pool), m, seed)
     return LabelMatrix.from_array(np.column_stack([pool[int(i)] for i in chosen]))
 
 
@@ -286,7 +286,8 @@ def _score_methods(
     scores["lwea"] = max(nmi(labels, truth) for labels in _cuts(_dendrogram(*_lwca(view, report)), ks))
     if with_eac:
         scores["eac"] = max(nmi(labels, truth) for labels in _cuts(_dendrogram(*_ca(view)), ks))
-    graph_ks = [kk for kk in ks if kk <= min(truth.size, view.n_clusters)] or ks[:1]
+    # the transfer cut needs k <= the positive-weight clusters
+    graph_ks = [kk for kk in ks if kk <= np.count_nonzero(report.eci)] or ks[:1]
     scores["lwgp"] = max(
         nmi(lwgp(view, kk, seed=seed, report=report).labels, truth) for kk in graph_ks
     )
@@ -315,7 +316,7 @@ def run_experiment(features, truth, config: ExperimentConfig) -> ExperimentRepor
     groups = [(config.ensemble_size, (1,), (2,), [theta] + other_thetas)]
     groups += [(m, (3, m), (4, m), [theta]) for m in config.m_grid or ()]
     draws = [(m, _subseed(config.seed, *path, r)) for m, path, _, _ in groups for r in range(runs)]
-    drawn = {int(t) for m, seed in draws for t in _draw_members(config.pool_size, m, seed)}
+    drawn = {int(t) for m, seed in draws for t in _draw_indices(config.pool_size, m, seed)}
     pool = generate_pool(x, config, members=drawn)
     k = _consensus_k(truth, config)
     best_k = config.k_policy == "best-k"

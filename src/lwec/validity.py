@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from .ensemble import EnsembleView, _write_text
+from .ensemble import EnsembleView
 
 __all__ = [
     "ValidityReport",
     "uncertainty_table",
     "eci",
     "annotate_validity",
-    "write_validity_csv",
 ]
 
 # Suggested operating range for theta is [0.2, 1]; 0.4 is the default used
@@ -106,12 +104,3 @@ def annotate_validity(view: EnsembleView, theta: float = DEFAULT_THETA) -> Valid
     weights.flags.writeable = False
     return ValidityReport(uncertainty=total, eci=weights, theta=theta, ensemble_size=m)
 
-
-def write_validity_csv(report: ValidityReport, view: EnsembleView, out: str | IO[str]) -> None:
-    """Export per-cluster validity as CSV: cluster, source, size, uncertainty, eci."""
-    sources = np.repeat(np.arange(view.n_clusterings), np.diff(view.column_offsets))
-    sizes = np.bincount(view.cluster_ids.ravel(), minlength=view.n_clusters)
-    lines = ["cluster,source,size,uncertainty,eci"]
-    for c, (source, size, u, w) in enumerate(zip(sources, sizes, report.uncertainty, report.eci)):
-        lines.append(f"{c},{source},{size},{u:.12g},{w:.12g}")
-    _write_text("\n".join(lines) + "\n", out)

@@ -52,10 +52,16 @@ def blob_view_m20():
     return build_ensemble_view(draw_ensemble(pool, 20, seed=3))
 
 
+def cluster_members(view) -> list[np.ndarray]:
+    """Sorted member indices of every pooled cluster, in cluster-id order,
+    read off `view.cluster_ids`."""
+    return [np.flatnonzero((view.cluster_ids == c).any(axis=1)) for c in range(view.n_clusters)]
+
+
 def column_members(view, column: int) -> list[np.ndarray]:
     """Member arrays of one column's clusters, in cluster-id order."""
-    lo, hi = view.column_offsets[column], view.column_offsets[column + 1]
-    return view.members()[lo:hi]
+    ids = view.cluster_ids[:, column]
+    return [np.flatnonzero(ids == c) for c in range(view.column_offsets[column], view.column_offsets[column + 1])]
 
 
 def blob_voronoi_view(n, ks, seed, noise=0.0):

@@ -592,7 +592,8 @@ def coassoc_dense_ref(view, weights: np.ndarray) -> np.ndarray:
     added to every pair of its members in cluster-id order, then divided by M."""
     n = view.n_objects
     values = np.zeros((n, n))
-    for members, weight in zip(view.members(), weights):
+    for c, weight in enumerate(weights):
+        members = np.flatnonzero((view.cluster_ids == c).any(axis=1))
         values[np.ix_(members, members)] += weight
     values /= view.n_clusterings
     values.flags.writeable = False

@@ -18,7 +18,7 @@ from lwec import coassoc
 from lwec.coassoc import MIRROR_BLOCK, write_lower_triangle
 
 import reference as ref
-from conftest import blob_voronoi_view, label_arrays, random_label_array
+from conftest import blob_voronoi_view, cluster_members, label_arrays, random_label_array, repeated_rows
 
 
 def unit_report(view) -> ValidityReport:
@@ -31,7 +31,7 @@ def unit_report(view) -> ValidityReport:
 class TestBuildCa:
     def test_stable_trio_pairs_are_one(self, worked_view):
         ca = build_ca(worked_view)
-        trio = worked_view.members()[1]
+        trio = cluster_members(worked_view)[1]
         for i in trio:
             for j in trio:
                 assert ca.dense()[i, j] == 1.0
@@ -83,7 +83,7 @@ class TestBuildLwca:
     def test_worked_example_pair_inside_stable_trio(self, worked_view):
         report = annotate_validity(worked_view, theta=0.5)
         lwca = build_lwca(worked_view, report)
-        trio = worked_view.members()[1]
+        trio = cluster_members(worked_view)[1]
         i, j = int(trio[0]), int(trio[1])
         containing = [worked_view.cluster_ids[i, col] for col in range(3)]
         expected = sum(report.eci[c] for c in containing) / 3
@@ -190,23 +190,29 @@ class TestMicroclusterStorage:
         assert ca.leaf.tolist() == [0, 1, 0, 2, 1]
 
 
-    def test_view_sorts_its_columns_once(self, monkeypatch):
-        view = build_ensemble_view(LabelMatrix.from_array(random_label_array(np.random.default_rng(8), 40, 4)))
+    @pytest.mark.parametrize("dead", [False, True])  # True: four columns weigh 0, so label rows merge
+    def test_builders_sort_no_object_sized_array(self, monkeypatch, dead):
+        view = build_ensemble_view(LabelMatrix.from_array(repeated_rows(8, n=500)))
         report = annotate_validity(view, 0.4)
-        sorted_columns = []
-        argsort = np.argsort
+        if dead:
+            eci = report.eci.copy()
+            eci[: view.column_offsets[4]] = 0.0
+            report = ValidityReport(report.uncertainty, eci, report.theta, report.ensemble_size)
+        sizes = []
+        for name in ("argsort", "sort"):
+            original = getattr(np, name)
 
-        def counting(a, *args, **kwargs):
-            if np.shares_memory(a, view.labels.labels):
-                sorted_columns.append(a)
-            return argsort(a, *args, **kwargs)
+            def counting(a, *args, original=original, **kwargs):
+                sizes.append(np.size(a))
+                return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "argsort", counting)
-        # a harness draw scores each view with both builders
-        build_lwca(view, report)
+            monkeypatch.setattr(np, name, counting)
+        # a harness draw scores each view with both builders; each sorts over
+        # the view's distinct label rows, not over its objects
+        lwca = build_lwca(view, report)
         build_ca(view)
-        assert len(sorted_columns) == view.n_clusterings
-        assert not any(members.flags.writeable for members in view.members())
+        assert sizes and max(sizes) < view.n_objects
+        assert (lwca.values.shape[0] < view._rows[1].size) == dead
 
 
 class TestTriangleScatter:

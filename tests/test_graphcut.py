@@ -25,7 +25,7 @@ from lwec import graphcut
 from lwec.graphcut import SYMMETRIZE_BLOCK, _connected_components
 
 import reference as ref
-from conftest import blob_voronoi_view, label_arrays, random_label_array, repeated_rows
+from conftest import blob_voronoi_view, cluster_members, label_arrays, random_label_array, repeated_rows
 
 
 def graph_from(view, theta=0.5):
@@ -57,7 +57,7 @@ class TestBuildLwbg:
     def test_membership_edges_only(self, worked_view):
         graph = graph_from(worked_view)
         b = ref.affinity_ref(graph)
-        for c, members in enumerate(worked_view.members()):
+        for c, members in enumerate(cluster_members(worked_view)):
             members = set(members.tolist())
             for obj in range(16):
                 if obj in members:

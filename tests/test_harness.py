@@ -291,6 +291,23 @@ class TestExperiment:
             assert scores[method] == max(nmi(cut_dendrogram(dendrogram, k).labels, y) for k in ks)
         assert scores["lwgp"] == max(nmi(lwgp(view, k, seed=5, report=report).labels, y) for k in ks)
 
+    def test_best_k_bounds_lwgp_by_the_positive_weight_clusters(self):
+        import lwec.harness as harness
+        from lwec import LabelMatrix, build_ensemble_view, lwgp
+        from lwec.validity import annotate_validity
+
+        # truth twice and a 9-way refinement of it: at theta 5e-4 the six truth
+        # clusters weigh 0, so 9 of the 15 clusters are live, while the best-k
+        # sweep runs k up to ceil(sqrt(100)) = 10
+        truth = np.arange(100) % 3
+        fine = truth + 3 * (np.arange(100) // 3 % 3)
+        view = build_ensemble_view(LabelMatrix.from_array(np.column_stack([truth, truth, fine])))
+        report = annotate_validity(view, 5e-4)
+        assert np.count_nonzero(report.eci) == 9 and view.n_clusters == 15
+        scores = harness._score_methods(view, truth, 3, 5e-4, 5, best_k=True)
+        assert set(scores) == {"lwea", "lwgp", "eac"}
+        assert scores["lwgp"] == max(nmi(lwgp(view, k, seed=5, report=report).labels, truth) for k in range(2, 10))
+
     def test_theta_grid_builds_plain_coassociation_once_per_draw(self, monkeypatch):
         import lwec.harness as harness
 

@@ -1,6 +1,5 @@
 """Cluster uncertainty and reliability-weight behavior, checked against naive oracles."""
 
-import io
 import itertools
 import math
 
@@ -18,10 +17,9 @@ from lwec import (
     uncertainty_table,
 )
 from lwec import validity
-from lwec.validity import write_validity_csv
 
 import reference as ref
-from conftest import WORKED_UNCERTAINTY, column_members, label_arrays, random_label_array, repeated_rows
+from conftest import WORKED_UNCERTAINTY, cluster_members, column_members, label_arrays, random_label_array, repeated_rows
 
 
 def cluster_sources(view) -> np.ndarray:
@@ -31,7 +29,7 @@ def cluster_sources(view) -> np.ndarray:
 
 class TestUncertaintyWrtClustering:
     def test_worked_example_split_2_3_3(self, worked_view):
-        big = worked_view.members()[0]
+        big = cluster_members(worked_view)[0]
         assert big.size == 8
         assert uncertainty_table(worked_view)[0, 1] == pytest.approx(1.56, abs=0.01)
 
@@ -70,7 +68,7 @@ class TestUncertaintyWrtClustering:
         m = LabelMatrix.from_array(arr)
         view = build_ensemble_view(m)
         table = uncertainty_table(view)
-        for c, members in enumerate(view.members()):
+        for c, members in enumerate(cluster_members(view)):
             for col in range(view.n_clusterings):
                 expected = ref.cluster_uncertainty_ref(m.labels, members, col)
                 assert table[c, col] == pytest.approx(expected, abs=1e-12)
@@ -91,7 +89,7 @@ class TestUncertaintyWrtClustering:
             m = LabelMatrix.from_array(arr)
             view = build_ensemble_view(m)
             table = uncertainty_table(view)
-            for c, members in enumerate(view.members()):
+            for c, members in enumerate(cluster_members(view)):
                 for col in range(2):
                     expected = ref.cluster_uncertainty_ref(m.labels, members, col)
                     got = table[c, col]
@@ -283,9 +281,9 @@ class TestAnnotateValidity:
         r2 = annotate_validity(view2, 0.5)
         by_members = {
             (source, frozenset(members.tolist())): c
-            for c, (source, members) in enumerate(zip(cluster_sources(view2), view2.members()))
+            for c, (source, members) in enumerate(zip(cluster_sources(view2), cluster_members(view2)))
         }
-        for c, (source, members) in enumerate(zip(cluster_sources(view1), view1.members())):
+        for c, (source, members) in enumerate(zip(cluster_sources(view1), cluster_members(view1))):
             moved = frozenset(int(inverse[o]) for o in members)
             twin = by_members[(source, moved)]
             assert r1.uncertainty[c] == pytest.approx(r2.uncertainty[twin], abs=1e-12)
@@ -293,14 +291,11 @@ class TestAnnotateValidity:
 
     def test_later_theta_leaves_earlier_report_alone(self, worked_view):
         # the view holds no theta-dependent state, so a theta sweep cannot leave
-        # the last theta's values behind in an earlier report or its export
+        # the last theta's values behind in an earlier report
         early = annotate_validity(worked_view, theta=0.2)
-        text = io.StringIO()
-        write_validity_csv(early, worked_view, text)
+        before = early.uncertainty.copy(), early.eci.copy()
         annotate_validity(worked_view, theta=0.9)
-        again = io.StringIO()
-        write_validity_csv(early, worked_view, again)
-        assert again.getvalue() == text.getvalue()
+        assert np.array_equal(early.uncertainty, before[0]) and np.array_equal(early.eci, before[1])
         assert np.array_equal(early.eci, annotate_validity(worked_view, theta=0.2).eci)
 
     @given(label_arrays(max_n=8, max_m=3))
@@ -325,14 +320,3 @@ class TestAnnotateValidity:
     def test_infinite_theta_gives_unit_weights(self, worked_view):
         assert (annotate_validity(worked_view, theta=math.inf).eci == 1.0).all()
         assert eci(2.5, math.inf, 3) == 1.0
-
-    def test_csv_export(self, worked_view, tmp_path):
-        report = annotate_validity(worked_view, theta=0.5)
-        out = tmp_path / "validity.csv"
-        write_validity_csv(report, worked_view, str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "cluster,source,size,uncertainty,eci"
-        assert len(lines) == 1 + worked_view.n_clusters
-        first = lines[1].split(",")
-        assert first[:3] == ["0", "0", "8"]
-        assert float(first[3]) == pytest.approx(2.56, abs=0.01)
