@@ -18,13 +18,10 @@ from typing import IO
 
 import numpy as np
 
-from .ensemble import EnsembleView, _distinct_rows, _write_text
+from .ensemble import EnsembleView, _add_transpose, _distinct_rows, _write_text
 from .validity import ValidityReport
 
 __all__ = ["CoassocMatrix", "build_ca", "build_lwca", "write_lower_triangle"]
-
-# rows per block of the triangle mirror: its one temporary is MIRROR_BLOCK x p
-MIRROR_BLOCK = 64
 
 # at most this many cells per scatter call, which bounds its temporaries
 # (8 MiB each) when a cluster spans thousands of rows
@@ -71,11 +68,12 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
 
     A cluster with c representative rows adds to the c(c+1)/2 cells of one
     triangle only (row >= column, so each row's cells are written together),
-    and `_mirror` copies that triangle over the diagonal: O(sum c(c+1)/2)
+    and the mirror adds the transpose (`_add_transpose`; the strict upper
+    triangle is 0) and halves the exactly doubled diagonal: O(sum c(c+1)/2)
     scattered adds plus O(p^2) for the mirror and the division. Temporaries:
     one int64 array of c_max(c_max+1)/2 pair columns for the largest cluster,
     two of at most SCATTER_PAIRS entries per scatter call, and the mirror's
-    MIRROR_BLOCK x p block; no second p x p array.
+    BLOCK_ROWS x p block; no second p x p array.
     """
     leaf, first, _ = view._rows
     if not (weights > 0).all():
@@ -106,7 +104,8 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
             cells = np.repeat(rows[j0:j1] * p, row_pairs[j0:j1])
             cells += rows[low[j0 * (j0 + 1) // 2 : j1 * (j1 + 1) // 2]]
             flat[cells] += weight
-    _mirror(values)
+    _add_transpose(values)
+    values.flat[:: p + 1] /= 2  # each diagonal cell was doubled, exactly
     values /= view.n_clusterings
     return values, leaf
 
@@ -115,17 +114,6 @@ def _frozen(values: np.ndarray, leaf: np.ndarray, kind: str) -> CoassocMatrix:
     values.flags.writeable = False
     leaf.flags.writeable = False
     return CoassocMatrix(values=values, kind=kind, leaf=leaf)
-
-
-def _mirror(values: np.ndarray) -> None:
-    """Copy the lower triangle of a square matrix whose strict upper triangle
-    is 0 onto that upper triangle, MIRROR_BLOCK rows at a time."""
-    p = values.shape[0]
-    for a in range(0, p, MIRROR_BLOCK):
-        b = min(a + MIRROR_BLOCK, p)
-        values[a:b, b:] = values[b:, a:b].T
-        diagonal = values[a:b, a:b]
-        diagonal += np.triu(diagonal.T, 1)
 
 
 def build_ca(view: EnsembleView) -> CoassocMatrix:

@@ -28,6 +28,9 @@ __all__ = [
     "relabel_first_appearance",
 ]
 
+# rows per block of every in-place square pass; its one temporary is BLOCK_ROWS x n
+BLOCK_ROWS = 64
+
 
 class DegenerateClusteringWarning(UserWarning):
     """A base clustering puts every object into a single cluster."""
@@ -92,6 +95,19 @@ def _distinct_rows(table: np.ndarray, radices) -> tuple[np.ndarray, np.ndarray, 
     first = np.empty(counts.size, dtype=np.int64)
     first[row[::-1]] = np.arange(n - 1, -1, -1)
     return row, first, counts
+
+
+def _add_transpose(a: np.ndarray) -> np.ndarray:
+    """a + a^T in place, BLOCK_ROWS rows at a time in one buffer; x + y rounds
+    the same either way round, so both halves get the out-of-place sum's bits."""
+    n = a.shape[0]
+    buf = np.empty((min(BLOCK_ROWS, n), n))
+    for r in range(0, n, BLOCK_ROWS):
+        b = min(r + BLOCK_ROWS, n)
+        block = np.add(a[r:b, r:], a[r:, r:b].T, out=buf[: b - r, : n - r])
+        a[r:b, r:] = block
+        a[r:, r:b] = block.T
+    return a
 
 
 @dataclass(frozen=True)

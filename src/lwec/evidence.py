@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coassoc import CoassocMatrix, _ca, _lwca
-from .ensemble import ConsensusResult, EnsembleView, relabel_first_appearance
+from .ensemble import BLOCK_ROWS, ConsensusResult, EnsembleView, relabel_first_appearance
 from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
 
 __all__ = [
@@ -23,11 +23,6 @@ __all__ = [
     "lwea",
     "eac",
 ]
-
-# rows per block of the average-link window's compaction (its only
-# temporary, COMPACT_BLOCK x live)
-COMPACT_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class Dendrogram:
@@ -58,12 +53,13 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     `matrix.values`, self-similarity S_g) have equal N x N rows, so once S_g
     leads the dense loop merges them as it would a c x c matrix filled with
     S_g, unless an outside value reaches those merges. So g is one slot of
-    size c with S_g on its diagonal; when the argmax lands there, g
-    completes: its intra merges, memoised per (c, S_g), are emitted, its
-    diagonal becomes -inf, and their recurrence is replayed on row g. They
-    are the chain of members in index order while the averages of S_g (such
-    as (2S + S)/3, which round) do not fall below it, and otherwise this
-    loop on the c x c matrix.
+    size c with S_g on its diagonal, which flags it (all other diagonals are
+    -inf; a merged row's averages its own -inf); when the argmax lands
+    there, g completes: its intra merges, memoised per (c, S_g), are
+    emitted, its diagonal becomes -inf, and their recurrence is replayed on
+    row g. They are the chain of members in index order while the averages
+    of S_g (such as (2S + S)/3, which round) do not fall below it, and
+    otherwise this loop on the c x c matrix.
 
     Demotion: a group with a live diagonal becomes one slot per member, and
     the argmax is picked again, when (a) the argmax lands on a pair holding
@@ -90,9 +86,10 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     the left), and one lookup of `rowarg` in a table true at i and j finds
     the rows whose cached column may have lost its maximum; those that do
     not take column i are rescanned, as row i is. The loop works in a window,
-    the leading block of its buffer: once dead slots fill half of it, the
-    live rows and columns move, in order, into its leading live x live block,
-    64 rows at a time, so slot order and the tie-break are unchanged.
+    a contiguous square at the start of its buffer: once dead slots fill half
+    of it, the live rows and columns move, in order, into its first live^2
+    entries, BLOCK_ROWS rows at a time (slot order and the tie-break are
+    unchanged), and the caches are rebuilt, as at the start and after a demotion.
 
     Cost, for s slots (p plus c - 1 per demoted group): per merge, a fixed
     number of vector passes over a window of at most twice the live slots,
@@ -102,9 +99,12 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     of the groups whose averages round. Memory is O(s^2 + N) on top of
     `matrix`, which is left as it is; `lwea` and `eac` instead hand their
     freshly built matrix to the loop, which works in it until a demotion.
+    Raises ValueError for fewer than two objects or a non-finite entry.
     """
     if matrix.n < 2:
         raise ValueError("need at least two objects to build a dendrogram")
+    if not np.isfinite(matrix.values).all():
+        raise ValueError("similarity matrix has a non-finite entry")
     leaf = np.arange(matrix.n) if matrix.leaf is None else np.asarray(matrix.leaf)
     # a read-only view, so the loop gathers its own work copy
     values = np.asarray(matrix.values, dtype=np.float64).view()
@@ -197,9 +197,10 @@ def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple
     """The merges (left, right, new_id, similarity) of `build_dendrogram`.
 
     When `values` is writeable and its rows are numbered by smallest member,
-    each used, it is the loop's first buffer and is overwritten (its leading
-    block holds the compacted matrix when the loop ends or a demotion moves
+    each used, it is the loop's first buffer and is overwritten (its first
+    entries hold the compacted matrix when the loop ends or a demotion moves
     it to a gathered buffer); otherwise the first buffer is gathered, p x p.
+    Caches are rebuilt after each compaction and demotion; diagonals flag groups.
     """
     n = leaf.size
     counts = np.bincount(leaf, minlength=values.shape[0])
@@ -208,11 +209,11 @@ def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple
     # one slot per used row, in order of its smallest member
     first = np.sort(order[starts[counts > 0]])
     used = leaf[first]
+    # the window, which holds every live slot
     if values.flags.writeable and np.array_equal(used, np.arange(values.shape[0])):
-        buffer = values
+        work = values
     else:
-        buffer = values[np.ix_(used, used)]
-    work = buffer  # the window: the leading block of `buffer` holding every live slot
+        work = values[np.ix_(used, used)]
     # a group's diagonal holds its self-similarity until it completes
     np.fill_diagonal(work, np.where(counts[used] > 1, work.diagonal(), -np.inf))
     size, region = counts[used].tolist(), first.tolist()
@@ -229,13 +230,11 @@ def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple
             nan_dead, limit = np.zeros(live), np.full(live, np.inf)
             # True at i and j while the caches are updated; [-1], a dead slot's rowarg, stays False
             cached = np.zeros(live + 1, dtype=bool)
-            # per slot: a group that has not completed, so its diagonal is live
-            whole = (work.diagonal() > -np.inf).tolist()
         # slot r always holds the region whose smallest member is first[r],
         # so the first row and column holding the maximum are the tie-break winner
         i = int(rowmax.argmax())
         j = int(rowarg[i])
-        pending = i if whole[i] else j if whole[j] else -1
+        pending = i if work[i, i] > -np.inf else j if work[j, j] > -np.inf else -1
         if pending >= 0:
             g, s = int(leaf[first[pending]]), float(work[pending, pending])
             c = int(counts[g])
@@ -256,13 +255,13 @@ def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple
         if pending >= 0:
             keep = np.flatnonzero(rowarg >= 0)
             work, first, size, region = _demoted(work, keep, first, size, region, pending, members, s)
-            buffer, rowarg = work, None
+            rowarg = None
             continue
         if i == j:
             base = n + len(merges)
             ids = members.tolist() + list(range(base, base + len(events)))
             merges.extend((ids[a], ids[b], ids[e], sim) for a, b, e, sim in events)
-            region[i], whole[i] = ids[-1], False
+            region[i] = ids[-1]
             if c == 2:
                 # a pair replays to its own row: only row i's cache changes
                 rowarg[i] = arg
@@ -298,19 +297,15 @@ def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple
             rowarg[r] = arg = block.argmax()
             rowmax[r] = block[arg]
         if 2 * live <= work.shape[0]:
-            # dead slots fill half the window: move the live rows and columns,
-            # in order, into its leading live x live block, COMPACT_BLOCK rows at a time
+            # dead slots fill half the window: move the live rows and columns, in
+            # order, into its first live^2 entries, BLOCK_ROWS rows at a time (no
+            # row is written over before it is read), and rebuild the caches there
             keep = np.flatnonzero(rowarg >= 0)
-            prefix = buffer[:live, :live]
-            for a in range(0, live, COMPACT_BLOCK):
-                prefix[a : a + COMPACT_BLOCK] = work[np.ix_(keep[a : a + COMPACT_BLOCK], keep)]
-            work = prefix
-            position = np.empty(rowarg.size, dtype=np.intp)
-            position[keep] = np.arange(live)
-            rowarg, rowmax, first = position[rowarg[keep]], rowmax[keep], first[keep]
-            keep = keep.tolist()
-            size, region, whole = [size[r] for r in keep], [region[r] for r in keep], [whole[r] for r in keep]
-            nan_dead, limit = np.zeros(live), np.full(live, np.inf)
+            prefix = work.reshape(-1)[: live * live].reshape(live, live)
+            for a in range(0, live, BLOCK_ROWS):
+                prefix[a : a + BLOCK_ROWS] = work[np.ix_(keep[a : a + BLOCK_ROWS], keep)]
+            work, first, rowarg = prefix, first[keep], None
+            size, region = [size[r] for r in keep.tolist()], [region[r] for r in keep.tolist()]
     return merges
 
 

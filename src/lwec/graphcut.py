@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ensemble import ConsensusResult, EnsembleView, _distinct_rows, relabel_first_appearance
+from .ensemble import ConsensusResult, EnsembleView, _add_transpose, _distinct_rows, relabel_first_appearance
 from .kmeans import kmeans
 from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
 
@@ -46,10 +46,6 @@ SWEEP_START_LIMIT = 20_000
 # noise, where it needs the most blocks.
 EIGH_MAX_CLUSTERS = 700
 
-# Rows per block when _symmetrize averages W_c with its transpose in place;
-# its one temporary is SYMMETRIZE_BLOCK x n_c.
-SYMMETRIZE_BLOCK = 64
-
 # Consecutive nodes whose move gains _refine_partition evaluates in one numpy
 # pass; a larger block wastes more work past each move, a smaller one pays
 # more per-call overhead between moves.
@@ -62,7 +58,7 @@ class BipartiteGraph:
 
     Object i has one edge per base clustering, to cluster cluster_ids[i, m];
     every edge into cluster c weighs weights[c], the cluster's ECI. A cluster
-    of weight 0 has no edges. The M clusters of a row are distinct, as in
+    of weight 0, or with no members, has no edges (`_live` flags the others). The M clusters of a row are distinct, as in
     every EnsembleView, where each column numbers its own clusters.
 
     Objects with equal rows of cluster_ids have equal edges, so the passes
@@ -89,11 +85,16 @@ class BipartiteGraph:
             return self.rows
         return _distinct_rows(self.cluster_ids, [self.cluster_ids.max() + 1] * self.cluster_ids.shape[1])
 
+    @cached_property
+    def _live(self) -> np.ndarray:
+        _, first, _ = self._rows
+        return (self.weights > 0) & (np.bincount(self.cluster_ids[first].ravel(), minlength=self.n_clusters) > 0)
+
 
 def _require_live_edges(graph: BipartiteGraph, advice: str = "") -> None:
     """Raise ValueError naming the first object whose clusters all weigh 0."""
     _, first, counts = graph._rows
-    isolated = np.flatnonzero(~(graph.weights > 0)[graph.cluster_ids[first]].any(axis=1))
+    isolated = np.flatnonzero(~graph._live[graph.cluster_ids[first]].any(axis=1))
     if isolated.size:
         raise ValueError(
             f"{counts[isolated].sum()} objects (first {first[isolated[0]]}) have only zero-weight clusters{advice}"
@@ -115,9 +116,9 @@ def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
 
 
 class _Edges(NamedTuple):
-    """A graph's N x M edges with its zero-weight clusters removed.
+    """A graph's N x M edges with the clusters that have none removed.
 
-    columns[i, m] is the id, among positive-weight clusters, of object i's
+    columns[i, m] is the id, among the graph's `_live` clusters, of object i's
     m-th cluster, and weights[i, m] is that edge's weight divided by the
     largest edge weight (the normalized cut is scale-invariant). An edge into
     a zero-weight cluster has column 0 and weight 0. degrees holds the
@@ -134,7 +135,7 @@ class _Edges(NamedTuple):
 
 
 def _edges(graph: BipartiteGraph) -> _Edges:
-    keep = graph.weights > 0
+    keep = graph._live
     live = keep[graph.cluster_ids]
     columns = np.where(live, (np.cumsum(keep) - 1)[graph.cluster_ids], 0)
     weights = np.where(live, graph.weights[graph.cluster_ids], 0.0)
@@ -155,7 +156,7 @@ def _connected_components(graph: BipartiteGraph) -> np.ndarray:
     """
     row, first, _ = graph._rows
     ids = graph.cluster_ids[first]
-    dead = ~(graph.weights > 0)
+    dead = ~graph._live
     p = first.size
     comp = np.arange(p)
     while True:
@@ -265,7 +266,8 @@ def _spectral_embedding(edges: _Edges, k: int) -> tuple[np.ndarray, np.ndarray |
     inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
     w_c *= inv_sqrt[:, None]
     w_c *= inv_sqrt[None, :]
-    sym = _symmetrize(w_c)
+    sym = _add_transpose(w_c)
+    sym /= 2
     if edges.n_clusters > EIGH_MAX_CLUSTERS:
         values, vectors = None, _top_eigenvectors(sym, k)
     else:
@@ -322,22 +324,6 @@ def _sweep_starts(edges: _Edges, values: np.ndarray, u: np.ndarray, k: int) -> I
             candidates = (c for a in choice for c in splits(segments, orders[a]))
             segments[min(candidates, key=lambda c: c[0])[1]] = new
         yield segments[:n]
-
-
-def _symmetrize(w: np.ndarray) -> np.ndarray:
-    """(w + w^T) / 2 in place, SYMMETRIZE_BLOCK rows at a time, so the only
-    temporary is one SYMMETRIZE_BLOCK x n buffer, allocated once. (a + b) / 2
-    rounds the same either way round, so both halves get the bits of the
-    out-of-place sum."""
-    n = w.shape[0]
-    buf = np.empty((min(SYMMETRIZE_BLOCK, n), n))
-    for a in range(0, n, SYMMETRIZE_BLOCK):
-        b = min(a + SYMMETRIZE_BLOCK, n)
-        block = np.add(w[a:b, a:], w[a:, a:b].T, out=buf[: b - a, : n - a])
-        block /= 2
-        w[a:b, a:] = block
-        w[a:, a:b] = block.T
-    return w
 
 
 def _refine_partition(
@@ -473,7 +459,7 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     pooled) and a PartitionWarning is issued. Raises ValueError if k is
     infeasible or some object has only zero-weight clusters.
     """
-    n, nc = graph.n_objects, int((graph.weights > 0).sum())
+    n, nc = graph.n_objects, int(graph._live.sum())
     if not 2 <= k <= min(n, nc):
         raise ValueError(
             f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}"

@@ -15,7 +15,8 @@ from lwec import (
     build_lwca,
 )
 from lwec import coassoc
-from lwec.coassoc import MIRROR_BLOCK, write_lower_triangle
+from lwec.coassoc import write_lower_triangle
+from lwec.ensemble import BLOCK_ROWS
 
 import reference as ref
 from conftest import blob_voronoi_view, cluster_members, label_arrays, random_label_array, repeated_rows
@@ -245,7 +246,7 @@ class TestTriangleScatter:
         if theta == 1e-3:
             assert 0 < (weights == 0).sum() < weights.size
         if theta != 1e-3 or extra == "singletons":
-            assert matrix.values.shape[0] >= n - 1 > 3 * MIRROR_BLOCK
+            assert matrix.values.shape[0] >= n - 1 > 3 * BLOCK_ROWS
         assert np.array_equal(matrix.dense(), ref.coassoc_dense_ref(view, weights))
         assert np.array_equal(matrix.values, matrix.values.T)
         assert not matrix.values.flags.writeable

@@ -26,7 +26,7 @@ from lwec import (
     write_labels,
 )
 from lwec import ensemble
-from lwec.ensemble import _dense_remap, _distinct_rows, relabel_first_appearance
+from lwec.ensemble import BLOCK_ROWS, _add_transpose, _dense_remap, _distinct_rows, relabel_first_appearance
 
 import reference as ref
 from conftest import cluster_members, column_members, label_arrays, random_label_array, repeated_rows
@@ -262,6 +262,23 @@ class TestDistinctRows:
         build_ca(view)
         assert len(calls) == 1 and calls[0] is view.labels.labels
         assert build_lwca(view, report).leaf is view._rows[0]
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS + 3])
+def test_add_transpose_in_place_matches_the_out_of_place_sum(n):
+    w = np.random.default_rng(n).random((n, n))
+    expected = w + w.T
+    assert _add_transpose(w) is w
+    assert w.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, 5 * BLOCK_ROWS + 3])
+def test_add_transpose_then_halving_the_diagonal_mirrors_a_lower_triangle(n):
+    # the co-association's mirror: its strict upper triangle is 0
+    w = np.tril(np.random.default_rng(n).random((n, n)))
+    expected = np.tril(w) + np.tril(w, -1).T
+    _add_transpose(w).flat[:: n + 1] /= 2
+    assert w.tobytes() == expected.tobytes()
 
 
 class TestEnsembleView:

@@ -65,6 +65,12 @@ class TestBuildDendrogram:
         with pytest.raises(ValueError):
             build_dendrogram(sym_matrix([[1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        values = np.array([[1.0, 0.2, bad], [0.2, 1.0, 0.5], [bad, 0.5, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            build_dendrogram(CoassocMatrix(values, "ca"))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_rescan_reference(self, seed):
         rng = np.random.default_rng(seed)
@@ -320,8 +326,24 @@ class TestInPlaceLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the matrix and build_lwca's scatter temporaries; the loop adds no p x p copy
+        # the matrix, build_lwca's scatter temporaries and its mirror's
+        # BLOCK_ROWS x p buffer; the loop adds no p x p copy
         assert peak <= 1.4 * p * p * 8
+
+    def test_public_call_holds_one_work_copy(self):
+        # the loop gathers one p x p work copy; each compaction packs the
+        # window into one contiguous block, so the cache rebuild over it
+        # copies nothing
+        view = blob_voronoi_view(1000, np.rint(np.linspace(2, 32, 60)).astype(int), 10, noise=0.1)
+        matrix = build_ca(view)
+        p = matrix.values.shape[0]
+        tracemalloc.start()
+        try:
+            build_dendrogram(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * p * p * 8
 
     @pytest.mark.parametrize("kind", ["ca", "lwca"])
     def test_public_call_leaves_the_matrix_alone(self, kind):

@@ -22,7 +22,7 @@ from lwec import (
     tcut_partition,
 )
 from lwec import graphcut
-from lwec.graphcut import SYMMETRIZE_BLOCK, _connected_components
+from lwec.graphcut import _connected_components
 
 import reference as ref
 from conftest import blob_voronoi_view, cluster_members, label_arrays, random_label_array, repeated_rows
@@ -702,6 +702,24 @@ def test_isolated_object_rejected_by_tcut():
             tcut_partition(graph, 3, seed=0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("spare", ["trailing", "middle"])
+def test_member_less_clusters_cut_as_if_absent(seed, spare):
+    # a positive weight for a cluster id that no object uses, past the last or
+    # skipped in the middle: its W_c row would be all zero, and its inverse
+    # square-root degree would divide by zero
+    rng = np.random.default_rng(seed)
+    view = build_ensemble_view(LabelMatrix.from_array(rng.integers(0, 4, size=(60, 3))))
+    weights = rng.random(view.n_clusters)
+    expected = tcut_partition(BipartiteGraph(view.cluster_ids, weights), 3).labels
+    at = view.n_clusters if spare == "trailing" else view.n_clusters // 2
+    ids = view.cluster_ids + (view.cluster_ids >= at)
+    graph = BipartiteGraph(ids, np.insert(weights, at, rng.random()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(tcut_partition(graph, 3).labels, expected)
+
+
 def test_spectral_path_builds_no_dense_affinity():
     # N = 10,000 blob points and M = 10 Voronoi columns of 2..100 clusters, as
     # in the lwgp-large benchmark: the dense N x n_c affinity alone is ~39 MiB
@@ -769,14 +787,6 @@ def test_full_eigh_embedding_matches_reference_bytes(blob_view_m20, theta, k):
             continue
         embedding = graphcut._spectral_embedding(edges, k)[0]
         assert embedding.tobytes() == ref.embedding_eigh_ref(edges, k).tobytes()
-
-
-@pytest.mark.parametrize("n", [1, SYMMETRIZE_BLOCK - 1, SYMMETRIZE_BLOCK, SYMMETRIZE_BLOCK + 1, 5 * SYMMETRIZE_BLOCK + 3])
-def test_symmetrize_in_place_matches_the_out_of_place_sum(n):
-    w = np.random.default_rng(n).random((n, n))
-    expected = (w + w.T) / 2
-    assert graphcut._symmetrize(w) is w
-    assert w.tobytes() == expected.tobytes()
 
 
 def test_lanczos_path_holds_one_cluster_graph():
