@@ -57,9 +57,11 @@ class BipartiteGraph:
     """Membership edges between N object nodes and n_c cluster nodes.
 
     Object i has one edge per base clustering, to cluster cluster_ids[i, m];
-    every edge into cluster c weighs weights[c], the cluster's ECI. A cluster
-    of weight 0, or with no members, has no edges (`_live` flags the others). The M clusters of a row are distinct, as in
-    every EnsembleView, where each column numbers its own clusters.
+    every edge into cluster c weighs weights[c], the cluster's ECI, so
+    weights must cover every id (ValueError otherwise). A cluster of weight
+    0, or with no members, has no edges (`_live` flags the others). The M
+    clusters of a row are distinct, as in every EnsembleView, where each
+    column numbers its own clusters.
 
     Objects with equal rows of cluster_ids have equal edges, so the passes
     that see an object only through its edges run once per distinct row:
@@ -70,6 +72,11 @@ class BipartiteGraph:
     cluster_ids: np.ndarray
     weights: np.ndarray
     rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        needed = int(self.cluster_ids.max(initial=-1)) + 1
+        if self.weights.size < needed:
+            raise ValueError(f"cluster ids need {needed} weights, got {self.weights.size}")
 
     @property
     def n_objects(self) -> int:
@@ -107,9 +114,7 @@ def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
     Raises ValueError if all of some object's cluster weights underflow to 0.
     """
     if len(report.eci) != view.n_clusters:
-        raise ValueError(
-            f"report covers {len(report.eci)} clusters, view has {view.n_clusters}"
-        )
+        raise ValueError(f"report covers {len(report.eci)} clusters, view has {view.n_clusters}")
     graph = BipartiteGraph(cluster_ids=view.cluster_ids, weights=report.eci, rows=view._rows)
     _require_live_edges(graph, f" at theta={report.theta:g}; use a larger theta")
     return graph
@@ -251,39 +256,11 @@ def _top_eigenvectors(sym: np.ndarray, k: int) -> np.ndarray:
         basis = np.hstack([basis, q])
 
 
-def _spectral_embedding(edges: _Edges, k: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Row-normalized object embedding, with the eigenvalues and the cluster
-    nodes' positions D_c^-1/2 v along the eigenvectors v it came from.
-
-    The leading eigenvectors of the normalized cluster graph D_c^-1/2 W_c D_c^-1/2
-    (D_c holds W_c's row sums) come from a full eigh while W_c has at most
-    EIGH_MAX_CLUSTERS rows, which gives k + 1 leading pairs in ascending
-    order, and beyond that from `_top_eigenvectors`, which gives k vectors and
-    no values. The k leading vectors are transferred to the objects through
-    D_o^-1 B. No n_c x n_c array outlives the call."""
-    share = edges.weights / edges.degrees[: edges.columns.shape[0], None]
-    w_c = _cluster_graph(edges, share)
-    inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
-    w_c *= inv_sqrt[:, None]
-    w_c *= inv_sqrt[None, :]
-    sym = _add_transpose(w_c)
-    sym /= 2
-    if edges.n_clusters > EIGH_MAX_CLUSTERS:
-        values, vectors = None, _top_eigenvectors(sym, k)
-    else:
-        values, vectors = np.linalg.eigh(sym)
-        values = values[-k - 1:]
-    f_obj = _transfer(edges, share, vectors[:, -k:])
-    norms = np.linalg.norm(f_obj, axis=1)
-    norms[norms == 0] = 1.0
-    return f_obj / norms[:, None], values, inv_sqrt[:, None] * vectors[:, -k - 1:]
-
-
 def _sweep_starts(edges: _Edges, values: np.ndarray, u: np.ndarray, k: int) -> Iterator[np.ndarray]:
     """Object labels of the sweep-cut starts (Shi & Malik, TPAMI 2000).
 
     Each of the k + 1 leading eigenvectors v of the normalized W_c, with the
-    eigenvalues and u = D_c^-1/2 v from `_spectral_embedding`'s full eigh,
+    eigenvalues and u = D_c^-1/2 v from `_tcuts`' full eigh,
     gives one axis through all N + n_c nodes: a cluster sits at u, an object
     at the transfer D_o^-1 B u over the eigenvalue's square root, so both
     sides lie on one scale. A start splits the nodes k - 1 times, each time
@@ -434,7 +411,7 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     deterministic greedy node moves that lower the graph's normalized cut.
     Small graphs (k ** n_c within SWEEP_START_LIMIT) also refine the starts
     of `_sweep_starts` and keep one whose cut is lower by more than 1e-12.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. This is `_tcuts` at one k.
 
     The eigenpairs come from a full eigh on graphs of at most
     EIGH_MAX_CLUSTERS positive-weight clusters and from the block Lanczos of
@@ -459,49 +436,75 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     pooled) and a PartitionWarning is issued. Raises ValueError if k is
     infeasible or some object has only zero-weight clusters.
     """
+    return ConsensusResult(labels=_tcuts(graph, [k], seed)[0], k=k, method="tcut")
+
+
+def _tcuts(graph: BipartiteGraph, ks, seed=0) -> list[np.ndarray]:
+    """`tcut_partition`'s labels at every k of `ks`, from one spectral stage.
+
+    The checks, components, edges and normalized W_c are built once. One
+    eigh serves every k, which reads the same leading pairs as a cut at k
+    alone; on the Lanczos path `_top_eigenvectors` runs once per k on the
+    shared matrix. Only the max(ks) + 1 leading eigh columns, or each k's
+    Lanczos vectors, outlive the stage, so no n_c x n_c array is alive
+    during the transfers, k-means and refinements. No stage is built when
+    every k takes the components fallback.
+    """
     n, nc = graph.n_objects, int(graph._live.sum())
-    if not 2 <= k <= min(n, nc):
-        raise ValueError(
-            f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}"
-        )
+    for k in ks:
+        if not 2 <= k <= min(n, nc):
+            raise ValueError(f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}")
     _require_live_edges(graph)
     components = _connected_components(graph)
     n_components = int(components.max()) + 1
-    if n_components > k:
-        warnings.warn(
-            f"graph has {n_components} connected components but k={k}; "
-            "assigning components greedily",
-            PartitionWarning,
-            stacklevel=2,
-        )
-        sizes = np.bincount(components)
-        order = np.argsort(-sizes, kind="stable")
-        mapping = np.full(n_components, k - 1, dtype=np.int64)
-        mapping[order[: k - 1]] = np.arange(k - 1)
-        labels = relabel_first_appearance(mapping[components])
-        return ConsensusResult(labels=labels, k=k, method="tcut")
+    spectral = [k for k in ks if k >= n_components]
+    if spectral:
+        edges = _edges(graph)
+        sym = _cluster_graph(edges, edges.weights / edges.degrees[:n, None])
+        inv_sqrt = 1.0 / np.sqrt(sym.sum(axis=1))
+        sym *= inv_sqrt[:, None]
+        sym *= inv_sqrt[None, :]
+        _add_transpose(sym)
+        sym /= 2
+        if nc > EIGH_MAX_CLUSTERS:
+            values, leading = None, {k: _top_eigenvectors(sym, k) for k in spectral}
+        else:
+            values, vectors = np.linalg.eigh(sym)
+            top = max(spectral) + 1
+            values, vectors = values[-top:], vectors[:, -top:].copy()
+            leading = {k: vectors[:, -k:] for k in spectral}
+        del sym
 
-    edges = _edges(graph)
-    embedding, values, u = _spectral_embedding(edges, k)
-    raw = kmeans(embedding, k, seed=seed)
-    del embedding  # so that the refinement's peak memory does not hold it
-    refined, value = _refine_partition(edges, raw, k)
-    if k**nc <= SWEEP_START_LIMIT:
-        for start in _sweep_starts(edges, values, u, k):
-            # a start that leaves a segment without objects has no finite cut value
-            if np.bincount(start, minlength=k).all():
-                alt, alt_value = _refine_partition(edges, start, k)
-                if alt_value < value - 1e-12:
-                    refined, value = alt, alt_value
-    labels = relabel_first_appearance(refined)
-    n_groups = int(labels.max()) + 1
-    if n_groups < k:
-        warnings.warn(
-            f"only {n_groups} non-empty object segments for k={k}",
-            PartitionWarning,
-            stacklevel=2,
-        )
-    return ConsensusResult(labels=labels, k=k, method="tcut")
+    labels = {}
+    for k in dict.fromkeys(ks):
+        if n_components > k:
+            message = f"graph has {n_components} connected components but k={k}; assigning components greedily"
+            warnings.warn(message, PartitionWarning, stacklevel=3)
+            order = np.argsort(-np.bincount(components), kind="stable")
+            mapping = np.full(n_components, k - 1, dtype=np.int64)
+            mapping[order[: k - 1]] = np.arange(k - 1)
+            labels[k] = relabel_first_appearance(mapping[components])
+            continue
+        embedding = _transfer(edges, edges.weights / edges.degrees[:n, None], leading[k])
+        norms = np.linalg.norm(embedding, axis=1)
+        norms[norms == 0] = 1.0
+        embedding /= norms[:, None]
+        raw = kmeans(embedding, k, seed=seed)
+        del embedding  # so that the refinement's peak memory does not hold it
+        refined, value = _refine_partition(edges, raw, k)
+        # only graphs of a few clusters pass the gate, and they take the eigh path
+        if k**nc <= SWEEP_START_LIMIT:
+            for start in _sweep_starts(edges, values[-k - 1:], inv_sqrt[:, None] * vectors[:, -k - 1:], k):
+                # a start that leaves a segment without objects has no finite cut value
+                if np.bincount(start, minlength=k).all():
+                    alt, alt_value = _refine_partition(edges, start, k)
+                    if alt_value < value - 1e-12:
+                        refined, value = alt, alt_value
+        labels[k] = relabel_first_appearance(refined)
+        n_groups = int(labels[k].max()) + 1
+        if n_groups < k:
+            warnings.warn(f"only {n_groups} non-empty object segments for k={k}", PartitionWarning, stacklevel=3)
+    return [labels[k] for k in ks]
 
 
 def lwgp(
@@ -517,11 +520,8 @@ def lwgp(
     `theta`). k=1 short-circuits to the all-in-one clustering.
     """
     if k == 1:
-        return ConsensusResult(
-            labels=np.zeros(view.n_objects, dtype=np.int64), k=1, method="lwgp"
-        )
+        return ConsensusResult(labels=np.zeros(view.n_objects, dtype=np.int64), k=1, method="lwgp")
     if report is None:
         report = annotate_validity(view, theta)
-    graph = build_lwbg(view, report)
-    cut = tcut_partition(graph, k, seed=seed)
+    cut = tcut_partition(build_lwbg(view, report), k, seed=seed)
     return ConsensusResult(labels=cut.labels, k=k, method="lwgp")

@@ -17,7 +17,7 @@ import numpy as np
 from .ensemble import EnsembleView, LabelMatrix, _parse_table, _write_text, build_ensemble_view
 from .evidence import _cuts, _dendrogram
 from .coassoc import _ca, _lwca
-from .graphcut import lwgp
+from .graphcut import _tcuts, build_lwbg
 from .kmeans import kmeans
 from .validity import annotate_validity
 
@@ -286,11 +286,10 @@ def _score_methods(
     scores["lwea"] = max(nmi(labels, truth) for labels in _cuts(_dendrogram(*_lwca(view, report)), ks))
     if with_eac:
         scores["eac"] = max(nmi(labels, truth) for labels in _cuts(_dendrogram(*_ca(view)), ks))
-    # the transfer cut needs k <= the positive-weight clusters
+    # the transfer cut needs k <= the positive-weight clusters; lwgp at k = 1 is the all-in-one labeling
     graph_ks = [kk for kk in ks if kk <= np.count_nonzero(report.eci)] or ks[:1]
-    scores["lwgp"] = max(
-        nmi(lwgp(view, kk, seed=seed, report=report).labels, truth) for kk in graph_ks
-    )
+    cuts = [np.zeros(truth.size)] if graph_ks == [1] else _tcuts(build_lwbg(view, report), graph_ks, seed)
+    scores["lwgp"] = max(nmi(labels, truth) for labels in cuts)
     return scores
 
 

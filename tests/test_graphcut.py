@@ -720,6 +720,15 @@ def test_member_less_clusters_cut_as_if_absent(seed, spare):
         assert np.array_equal(tcut_partition(graph, 3).labels, expected)
 
 
+def test_short_weights_rejected():
+    # one weight fewer than the clusters the ids reach: named here, not by a
+    # numpy broadcast deep inside the cut
+    view = build_ensemble_view(LabelMatrix.from_array(np.random.default_rng(0).integers(0, 4, size=(60, 3))))
+    short = view.n_clusters - 1
+    with pytest.raises(ValueError, match=rf"^cluster ids need {view.n_clusters} weights, got {short}$"):
+        BipartiteGraph(view.cluster_ids, np.ones(short))
+
+
 def test_spectral_path_builds_no_dense_affinity():
     # N = 10,000 blob points and M = 10 Voronoi columns of 2..100 clusters, as
     # in the lwgp-large benchmark: the dense N x n_c affinity alone is ~39 MiB
@@ -750,16 +759,17 @@ def gated_view():
     return build_ensemble_view(LabelMatrix.from_array(rng.integers(0, 2, size=(40, 2))))
 
 
-def test_sweep_start_with_an_empty_segment_is_skipped():
+def test_sweep_start_with_an_empty_segment_is_skipped(monkeypatch):
     # the first sweep start puts only cluster nodes in one of three segments;
     # refining that start would divide 0 by 0
     view = gated_view()
-    edges = graphcut._edges(graph_from(view, 0.4))
-    starts = list(graphcut._sweep_starts(edges, *graphcut._spectral_embedding(edges, 3)[1:], 3))
-    assert any(np.bincount(start, minlength=3).min() == 0 for start in starts)
+    starts = []
+    sweep_starts = graphcut._sweep_starts
+    monkeypatch.setattr(graphcut, "_sweep_starts", lambda *args: (starts.append(s) or s for s in sweep_starts(*args)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         labels = lwgp(view, 3, theta=0.4).labels
+    assert any(np.bincount(start, minlength=3).min() == 0 for start in starts)
     # the labels of the unfixed code, run with warnings ignored
     expected = [0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 2, 2, 0, 0, 2, 2, 2, 1, 1, 1,
                 2, 2, 0, 0, 1, 0, 1, 1, 0, 0, 0, 2, 1, 2, 2, 1, 2, 1, 0, 0]
@@ -780,13 +790,19 @@ def test_one_spectrum_per_cut(monkeypatch):
 
 
 @pytest.mark.parametrize("theta, k", [(0.4, 3), (0.2, 2), (1.0, 5)])
-def test_full_eigh_embedding_matches_reference_bytes(blob_view_m20, theta, k):
+def test_full_eigh_embedding_matches_reference_bytes(monkeypatch, blob_view_m20, theta, k):
+    # the embedding that the cut hands to k-means
+    embeddings = []
+    kmeans = graphcut.kmeans
+    monkeypatch.setattr(graphcut, "kmeans", lambda x, *args, **kw: embeddings.append(x.copy()) or kmeans(x, *args, **kw))
     for view in (gated_view(), blob_view_m20):
-        edges = graphcut._edges(graph_from(view, theta))
+        graph = graph_from(view, theta)
+        edges = graphcut._edges(graph)
         if edges.n_clusters < k:
             continue
-        embedding = graphcut._spectral_embedding(edges, k)[0]
-        assert embedding.tobytes() == ref.embedding_eigh_ref(edges, k).tobytes()
+        embeddings.clear()
+        graphcut._tcuts(graph, [k])
+        assert embeddings[0].tobytes() == ref.embedding_eigh_ref(edges, k).tobytes()
 
 
 def test_lanczos_path_holds_one_cluster_graph():
@@ -804,3 +820,71 @@ def test_lanczos_path_holds_one_cluster_graph():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n_c * n_c * 8
+
+
+def disconnected_blocks_view(blocks):
+    """`blocks` groups of 30 objects that share no cluster: 2 columns of 3 labels per group."""
+    rng = np.random.default_rng(29)
+    arr = np.vstack([rng.integers(0, 3, size=(30, 2)) + 3 * b for b in range(blocks)])
+    return build_ensemble_view(LabelMatrix.from_array(arr))
+
+
+class TestSharedStage:
+    """`_tcuts` builds one cluster graph and one spectral stage for all its
+    k, and each k's labels are those of a cut at that k alone."""
+
+    @staticmethod
+    def cut(monkeypatch, graph, ks):
+        """Cut every k of `ks` in one call and compare each k's labels with a
+        cut at k alone. Returns the call's PartitionWarning messages and the
+        cluster graphs, full eighs and Lanczos runs it made."""
+        made = {"graphs": 0, "eighs": full_eigh_calls(monkeypatch, int(graph._live.sum())), "lanczos": []}
+        cluster_graph, top = graphcut._cluster_graph, graphcut._top_eigenvectors
+
+        def counting(*args):
+            made["graphs"] += 1
+            return cluster_graph(*args)
+
+        monkeypatch.setattr(graphcut, "_cluster_graph", counting)
+        monkeypatch.setattr(graphcut, "_top_eigenvectors", lambda a, k: made["lanczos"].append(k) or top(a, k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            labels = graphcut._tcuts(graph, ks, seed=3)
+        monkeypatch.undo()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartitionWarning)
+            for k, got in zip(ks, labels, strict=True):
+                assert np.array_equal(got, graphcut._tcuts(graph, [k], seed=3)[0])
+        return [str(w.message) for w in caught if issubclass(w.category, PartitionWarning)], made
+
+    def test_eigh_path(self, monkeypatch, blob_view_m20):
+        graph = graph_from(blob_view_m20, 0.4)
+        assert graph.n_clusters <= graphcut.EIGH_MAX_CLUSTERS
+        caught, made = self.cut(monkeypatch, graph, [5, 2, 8, 3, 5])
+        assert made == {"graphs": 1, "eighs": [(graph.n_clusters,) * 2], "lanczos": []}
+        assert caught == []
+
+    def test_lanczos_path_runs_once_per_k(self, monkeypatch):
+        # the wide-noisy family of test_wide_noisy_labels_match_full_eigh
+        view = blob_voronoi_view(1000, np.rint(np.linspace(2, 32, 60)).astype(int), 10, noise=0.1)
+        graph = graph_from(view, 0.4)
+        assert graph.n_clusters > graphcut.EIGH_MAX_CLUSTERS
+        caught, made = self.cut(monkeypatch, graph, [3, 2, 5])
+        assert made == {"graphs": 1, "eighs": [], "lanczos": [3, 2, 5]}
+        assert caught == []
+
+    def test_sweep_start_graph(self, monkeypatch):
+        graph = graph_from(gated_view(), 0.4)
+        assert 4 ** graph.n_clusters <= graphcut.SWEEP_START_LIMIT
+        _, made = self.cut(monkeypatch, graph, [3, 2, 4])
+        assert made["graphs"] == len(made["eighs"]) == 1
+
+    def test_more_components_than_the_smallest_k(self, monkeypatch):
+        graph = graph_from(disconnected_blocks_view(4), 0.4)
+        assert _connected_components(graph).max() == 3
+        caught, made = self.cut(monkeypatch, graph, [2, 5, 3, 4])
+        assert caught == [f"graph has 4 connected components but k={k}; assigning components greedily" for k in (2, 3)]
+        assert made["graphs"] == len(made["eighs"]) == 1
+        # every k below the component count: no spectral stage is built
+        caught, made = self.cut(monkeypatch, graph, [3, 2])
+        assert len(caught) == 2 and made["graphs"] == 0 and made["eighs"] == []

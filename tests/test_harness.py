@@ -266,6 +266,7 @@ class TestExperiment:
             assert tuple(values) == grid
 
     def test_best_k_cuts_each_dendrogram_in_one_pass(self, monkeypatch, blobs):
+        import lwec.graphcut as graphcut
         import lwec.harness as harness
         from lwec import build_ensemble_view, cut_dendrogram, lwgp
         from lwec.coassoc import _ca, _lwca
@@ -284,12 +285,30 @@ class TestExperiment:
             return cuts(dendrogram, wanted)
 
         monkeypatch.setattr(harness, "_cuts", counting)
+        # lwgp: one cluster graph and one full eigh for every k
+        built, eighs = [], []
+        cluster_graph, eigh = graphcut._cluster_graph, np.linalg.eigh
+        monkeypatch.setattr(graphcut, "_cluster_graph", lambda *args: built.append(1) or cluster_graph(*args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
         scores = harness._score_methods(view, y, 3, 0.4, 5, best_k=True)
+        monkeypatch.undo()
         assert calls == [ks, ks]
+        assert len(built) == len(eighs) == 1
         report = annotate_validity(view, 0.4)
         for method, dendrogram in (("lwea", _dendrogram(*_lwca(view, report))), ("eac", _dendrogram(*_ca(view)))):
             assert scores[method] == max(nmi(cut_dendrogram(dendrogram, k).labels, y) for k in ks)
         assert scores["lwgp"] == max(nmi(lwgp(view, k, seed=5, report=report).labels, y) for k in ks)
+
+    def test_fixed_k_of_one_scores_the_all_in_one_labeling(self, blobs):
+        # one segment shares no information with the three blobs
+        x, y = blobs
+        config = ExperimentConfig(pool_size=6, ensemble_size=4, runs=1, seed=3, k_policy="fixed", fixed_k=1)
+        report = run_experiment(x, y, config)
+        assert {method: scores.tolist() for method, scores in report.method_nmi.items()} == {
+            "lwea": [0.0],
+            "lwgp": [0.0],
+            "eac": [0.0],
+        }
 
     def test_best_k_bounds_lwgp_by_the_positive_weight_clusters(self):
         import lwec.harness as harness
