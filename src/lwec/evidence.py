@@ -8,6 +8,7 @@ that can be cut at any cluster count.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     emitted, its diagonal becomes -inf, and their recurrence is replayed on
     row g. They are the chain of members in index order while the averages
     of S_g (such as (2S + S)/3, which round) do not fall below it, and
-    otherwise this loop on the c x c matrix.
+    otherwise this loop's merges on the c x c matrix, found by simulating
+    the loop over the group's regions, with no c x c matrix (`_intra`).
 
     Demotion: a group with a live diagonal becomes one slot per member, and
     the argmax is picked again, when (a) the argmax lands on a pair holding
@@ -95,17 +97,27 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     number of vector passes over a window of at most twice the live slots,
     plus one such pass per rescanned row, so O(s^2) time when few rows share
     a maximum column and O(s^3) at worst; O(s^2) for all the compactions and
-    per demotion; O(c s) per completed group for the replay; the c x c loops
-    of the groups whose averages round. Memory is O(s^2 + N) on top of
-    `matrix`, which is left as it is; `lwea` and `eac` instead hand their
+    per demotion; O(c s) per completed group for the replay; for a group
+    whose averages round, O(R) per intra merge while R of its regions are
+    live, plus the rescans `_intra` names. Memory is O(s^2 + N + R^2) on top
+    of `matrix`, which is left as it is; `lwea` and `eac` instead hand their
     freshly built matrix to the loop, which works in it until a demotion.
-    Raises ValueError for fewer than two objects or a non-finite entry.
+    Raises ValueError for fewer than two objects, a matrix that is not
+    square or not symmetric, a non-finite entry, or a `leaf` entry that
+    names no row.
     """
+    shape = np.shape(matrix.values)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"similarity matrix must be square, got shape {shape}")
     if matrix.n < 2:
         raise ValueError("need at least two objects to build a dendrogram")
     if not np.isfinite(matrix.values).all():
         raise ValueError("similarity matrix has a non-finite entry")
+    if not np.array_equal(matrix.values, np.transpose(matrix.values)):
+        raise ValueError("similarity matrix is not symmetric")
     leaf = np.arange(matrix.n) if matrix.leaf is None else np.asarray(matrix.leaf)
+    if not (0 <= leaf.min() and leaf.max() < shape[0]):
+        raise ValueError(f"leaf entries must be in [0, {shape[0]}), got {leaf.min()}..{leaf.max()}")
     # a read-only view, so the loop gathers its own work copy
     values = np.asarray(matrix.values, dtype=np.float64).view()
     values.flags.writeable = False
@@ -116,7 +128,7 @@ def _dendrogram(values: np.ndarray, leaf: np.ndarray) -> Dendrogram:
     """`build_dendrogram` over `values` (p x p) and `leaf`; a writeable
     `values` whose rows are numbered by smallest member is consumed."""
     merges = np.rec.array(
-        _agglomerate(values, leaf, {}), formats="i8,i8,i8,f8", names="left,right,new_id,similarity"
+        _agglomerate(values, leaf), formats="i8,i8,i8,f8", names="left,right,new_id,similarity"
     )
     merges.flags.writeable = False
     return Dendrogram(n_leaves=leaf.size, merges=merges)
@@ -139,7 +151,21 @@ def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, floa
     """Merges (left, right, new_id, similarity) of c objects at mutual
     similarity s (leaves 0..c-1; merge t creates c + t), their lowest
     similarity, and whether they are an exact chain: every merge at s or
-    above, each taking the next member into the region of member 0. Memoised."""
+    above, each taking the next member into the region of member 0. Memoised.
+
+    They are the merges of this module's loop on the c x c matrix filled with
+    s, simulated over regions: singletons are at s from each other and a
+    region at one value, its `toward`, from every singleton, so the state is
+    the singletons left (a suffix f..c-1) and each region's slot (smallest
+    member), size, id, `toward` and values to the other regions. By the
+    loop's argmax, singletons f and f + 1 merge at s when s beats every
+    region's row maximum; otherwise the first region row holding the largest
+    merges with the first slot holding it there: its best region, or else
+    singleton f. New values are `_average` of the two rows, on floats. The
+    chain runs first and the regions start where it breaks. Cost, for R
+    regions: O(R) per merge, plus O(R) per rescan of a region whose best
+    value fell with a merge, made once it would lead; O(R^2) memory.
+    """
     if (c, s) not in memo:
         # members 0..k-1, once merged, are at similarity v from each later
         # member; while v >= s they take the next member in turn: a chain
@@ -149,13 +175,61 @@ def _intra(c: int, s: float, memo: dict) -> tuple[list[tuple[int, int, int, floa
             if v < s and k < c - 1:
                 break
             sims.append(v)
-        if len(sims) == c - 1:
-            low = min(sims)
-            memo[c, s] = [(c + t - 1 if t else 0, t + 1, c + t, sim) for t, sim in enumerate(sims)], low, low >= s
-        else:
-            # this loop may keep every merge at s, pairing other members first
-            events = _agglomerate(np.full((c, c), s), np.arange(c), memo)
-            memo[c, s] = events, min(event[3] for event in events), False
+        events = [(c + t - 1 if t else 0, t + 1, c + t, sim) for t, sim in enumerate(sims)]
+        if len(sims) < c - 1:
+            # region {0..k-1} and singletons f = k..c-1. best[q] is region q's
+            # largest value to another region and the first slot holding it,
+            # or, while q is stale, only a bound on that value
+            size, ids, toward, val, best = {0: k}, {0: c + k - 2}, {0: v}, {0: {}}, {0: (-np.inf, 0)}
+            f, stale = k, set()
+            while len(events) < c - 1:
+                # (-row maximum, slot) per region: the least is the first row
+                # holding the largest; a stale one is rescanned before it leads
+                heap = [(-max(t if f < c else -np.inf, best[q][0]), q) for q, t in toward.items()]
+                top = min(heap)
+                if top[1] in stale:
+                    heapq.heapify(heap)
+                    while heap[0][1] in stale:
+                        q = heap[0][1]
+                        stale.remove(q)
+                        x = max(val[q].values())
+                        best[q] = x, min([r for r, y in val[q].items() if y == x])
+                        heapq.heapreplace(heap, (-max(toward[q] if f < c else -np.inf, x), q))
+                    top = heap[0]
+                g, i = -top[0], top[1]
+                # each side: size, value to every singleton, values to the regions, id
+                if c - f >= 2 and s > g:
+                    # a singleton is at toward[r] from region r
+                    g, i, j = s, f, f + 1
+                    (a, ta, va, left), (b, tb, vb, right) = (1, s, toward, f), (1, s, toward, f + 1)
+                    f += 2
+                else:
+                    a, ta, va, left = size[i], toward[i], val[i], ids[i]
+                    if best[i][0] == g:
+                        j = best[i][1]
+                        b, tb, vb, right = size.pop(j), toward.pop(j), val.pop(j), ids.pop(j)
+                        del best[j]
+                        stale.discard(j)
+                    else:
+                        j, b, tb, vb, right = f, 1, s, toward, f
+                        f += 1
+                row = {r: _average(a, va[r], b, vb[r]) for r in val if r != i}
+                events.append((left, right, c + len(events), g))
+                size[i], ids[i], toward[i], val[i] = a + b, events[-1][2], _average(a, ta, b, tb), row
+                x = max(row.values(), default=-np.inf)
+                best[i] = x, min([r for r, y in row.items() if y == x], default=0)
+                for r, x in row.items():
+                    other = val[r]
+                    other.pop(j, None)
+                    other[i] = x
+                    bx, bq = best[r]
+                    if x > bx or x == bx and i < bq and r not in stale:
+                        best[r] = x, i
+                        stale.discard(r)
+                    elif x < bx and (bq == i or bq == j):
+                        stale.add(r)
+        low = min(event[3] for event in events)
+        memo[c, s] = events, low, len(sims) == c - 1 and low >= s
     return memo[c, s]
 
 
@@ -193,7 +267,7 @@ def _demoted(work, keep, first, size, region, i, members, s):
     return buffer, first, size, region
 
 
-def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple[int, int, int, float]]:
+def _agglomerate(values: np.ndarray, leaf: np.ndarray) -> list[tuple[int, int, int, float]]:
     """The merges (left, right, new_id, similarity) of `build_dendrogram`.
 
     When `values` is writeable and its rows are numbered by smallest member,
@@ -217,7 +291,7 @@ def _agglomerate(values: np.ndarray, leaf: np.ndarray, memo: dict) -> list[tuple
     # a group's diagonal holds its self-similarity until it completes
     np.fill_diagonal(work, np.where(counts[used] > 1, work.diagonal(), -np.inf))
     size, region = counts[used].tolist(), first.tolist()
-    rowarg = None
+    rowarg, memo = None, {}
     merges: list[tuple[int, int, int, float]] = []
     while len(merges) < n - 1:
         if rowarg is None:

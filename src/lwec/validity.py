@@ -70,7 +70,7 @@ def eci(uncertainty: float, theta: float, ensemble_size: int) -> float:
         raise ValueError(f"theta must be positive, got {theta}")
     if ensemble_size < 1:
         raise ValueError(f"ensemble size must be >= 1, got {ensemble_size}")
-    if uncertainty < 0:
+    if not uncertainty >= 0:  # NaN fails this test too
         raise ValueError(f"uncertainty must be >= 0, got {uncertainty}")
     return math.exp(-uncertainty / (theta * ensemble_size))
 

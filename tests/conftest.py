@@ -81,6 +81,28 @@ def blob_voronoi_view(n, ks, seed, noise=0.0):
     return build_ensemble_view(LabelMatrix.from_array(np.column_stack(columns)))
 
 
+def random_column_ensemble(seed: int, n: int = 1000, m: int = 20, random_columns: int = 15):
+    """Labels and truth of a three-blob Voronoi ensemble in which `random_columns`
+    of the m columns are replaced by uniform labels over the same k.
+
+    n points around three centers on a circle of radius 9 (spread 3); column c
+    labels each point by the nearest of k_c random points, the k_c spread
+    evenly over [2, ceil(sqrt(n))] and shuffled. numpy only, so a library
+    change cannot change the input."""
+    rng = np.random.default_rng(seed)
+    angles = np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False)
+    truth = rng.permutation(np.arange(n) % 3)
+    x = 9.0 * np.column_stack([np.cos(angles), np.sin(angles)])[truth] + 3.0 * rng.standard_normal((n, 2))
+    ks = rng.permutation(np.rint(np.linspace(2, np.ceil(np.sqrt(n)), m)).astype(int))
+    labels = np.empty((n, m), dtype=np.int64)
+    for col, k in enumerate(ks):
+        sites = x[rng.choice(n, size=k, replace=False)]
+        labels[:, col] = ((x[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    for col in rng.choice(m, size=random_columns, replace=False):
+        labels[:, col] = rng.integers(0, ks[col], size=n)
+    return labels, truth
+
+
 def repeated_rows(seed: int, n: int = 2000, rows: int = 30, m: int = 6, k: int = 4) -> np.ndarray:
     """n label rows drawn from `rows` random rows of m columns of k labels:
     groups of about n / rows objects share a row."""

@@ -26,6 +26,7 @@ from lwec import (
     eci,
     kmeans,
     lwea,
+    lwgp,
     make_gaussian_blobs,
     nmi,
     run_experiment,
@@ -37,7 +38,7 @@ from lwec.harness import write_features
 from lwec.graphcut import BipartiteGraph
 
 import reference as ref
-from conftest import WORKED_ROWS, WORKED_UNCERTAINTY, column_members, random_label_array
+from conftest import WORKED_ROWS, WORKED_UNCERTAINTY, column_members, random_column_ensemble, random_label_array
 
 
 def report_line(num: int, name: str, ok: bool) -> None:
@@ -269,3 +270,32 @@ def test_criterion_8_module_invariants():
     ok &= abs(nmi(a, b) - nmi(b, a)) <= 1e-12 and 0.0 <= nmi(a, b) <= 1.0
 
     report_line(8, "module invariant battery", ok)
+
+
+class TestRandomColumns:
+    """The paper's robustness claim: local weighting keeps the consensus when
+    most base clusterings are noise. 15 of 20 Voronoi columns are uniform
+    labels (`random_column_ensemble`), theta 0.4, k = 3, seeds 1-5."""
+
+    SEEDS = range(1, 6)
+
+    @pytest.fixture(scope="class")
+    def views(self):
+        return [
+            (build_ensemble_view(LabelMatrix.from_array(labels)), truth)
+            for labels, truth in map(random_column_ensemble, self.SEEDS)
+        ]
+
+    def test_lwea_holds_where_eac_degrades(self, views):
+        lwea_nmi = [nmi(lwea(view, 3, theta=0.4).labels, truth) for view, truth in views]
+        eac_nmi = [nmi(eac(view, 3).labels, truth) for view, truth in views]
+        assert np.mean(lwea_nmi) >= np.mean(eac_nmi)
+        # measured 0.887-0.913 (eac 0.44-0.91); seeds 2 and 3 fall just below 0.9
+        assert min(lwea_nmi) >= 0.88
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: lwgp's normalized cut prefers small, weakly tied pieces on mostly random columns",
+    )
+    def test_lwgp_holds(self, views):
+        assert min(nmi(lwgp(view, 3, theta=0.4).labels, truth) for view, truth in views) >= 0.9

@@ -71,6 +71,21 @@ class TestBuildDendrogram:
         with pytest.raises(ValueError, match="non-finite"):
             build_dendrogram(CoassocMatrix(values, "ca"))
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            build_dendrogram(CoassocMatrix(np.ones((2, 3)), "ca"))
+
+    def test_asymmetric_matrix_rejected(self):
+        values = np.array([[1.0, 0.9, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_dendrogram(sym_matrix(values))
+
+    @pytest.mark.parametrize("leaf", [[0, 5], [0, -1, 1]])
+    def test_leaf_naming_no_row_rejected(self, leaf):
+        values = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match=r"leaf entries must be in \[0, 2\)"):
+            build_dendrogram(CoassocMatrix(values, "ca", np.array(leaf)))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_rescan_reference(self, seed):
         rng = np.random.default_rng(seed)
@@ -408,6 +423,60 @@ class TestInPlaceLoop:
         # the loop overwrote the buffer it was handed (its prefix ends as the
         # compacted matrix); a gathered work copy would leave it as built
         assert all(values.shape == (200, 200) and not np.array_equal(values, built) for values, built in seen)
+
+
+def is_exact_chain(events, s):
+    """Every merge at s or above, each taking the next member into member 0's region."""
+    c = len(events) + 1
+    pattern = all(event[:2] == (c + t - 1 if t else 0, t + 1) for t, event in enumerate(events))
+    return pattern and min(event[3] for event in events) >= s
+
+
+class TestIntra:
+    """A group's intra merges are the full-argmax loop's on the c x c
+    matrix filled with s, found without that matrix."""
+
+    # the averages of these round below s at four and at eight members
+    NON_CHAIN = [0.7065469048855986, 0.4859530530234623]
+    # 200 regions are live at once among 1,000 members
+    MANY_REGIONS = float.fromhex("0x1.99b5feba807b7p-2")
+
+    @staticmethod
+    def assert_oracle(c, s):
+        events, low, chain = _intra(c, s, {})
+        assert events == ref.average_link_argmax_ref(np.full((c, c), s))
+        assert low == min(event[3] for event in events)
+        assert chain == is_exact_chain(events, s)
+
+    @seed(2323)
+    @given(
+        st.integers(2, 60),
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.builds(lambda m, k: min(k, m) / m, st.integers(1, 60), st.integers(0, 60)),
+            st.just(1.0),
+            st.floats(0.0, 1e-300),
+            st.sampled_from(NON_CHAIN),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_argmax_loop(self, c, s):
+        self.assert_oracle(c, s)
+
+    @pytest.mark.parametrize("s", NON_CHAIN + [MANY_REGIONS, 0.3, 0.9, 0.5])
+    def test_matches_the_argmax_loop_at_300_members(self, s):
+        self.assert_oracle(300, s)
+
+    def test_regions_not_a_square_matrix(self):
+        # the c x c matrix would take c^2 * 8 bytes
+        c, s = 1000, self.MANY_REGIONS
+        tracemalloc.start()
+        try:
+            _intra(c, s, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < c * c * 8 / 2
 
 
 def edge_reference(view, k, weights):

@@ -245,6 +245,10 @@ class TestEci:
         with pytest.raises(ValueError):
             eci(-0.1, 0.4, 3)
 
+    def test_nan_uncertainty_rejected(self):
+        with pytest.raises(ValueError, match="uncertainty must be >= 0, got nan"):
+            eci(math.nan, 0.4, 10)
+
 
 class TestAnnotateValidity:
     def test_worked_example_uncertainty_vector(self, worked_view):
