@@ -103,8 +103,8 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
     of `matrix`, which is left as it is; `lwea` and `eac` instead hand their
     freshly built matrix to the loop, which works in it until a demotion.
     Raises ValueError for fewer than two objects, a matrix that is not
-    square or not symmetric, a non-finite entry, or a `leaf` entry that
-    names no row.
+    square or not symmetric, a non-finite entry, a negative entry, or a
+    `leaf` entry that names no row.
     """
     shape = np.shape(matrix.values)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -113,6 +113,8 @@ def build_dendrogram(matrix: CoassocMatrix) -> Dendrogram:
         raise ValueError("need at least two objects to build a dendrogram")
     if not np.isfinite(matrix.values).all():
         raise ValueError("similarity matrix has a non-finite entry")
+    if np.min(matrix.values, initial=0.0) < 0:
+        raise ValueError("similarity matrix has a negative entry")
     if not np.array_equal(matrix.values, np.transpose(matrix.values)):
         raise ValueError("similarity matrix is not symmetric")
     leaf = np.arange(matrix.n) if matrix.leaf is None else np.asarray(matrix.leaf)

@@ -10,13 +10,12 @@ after partitioning and only object segments are reported.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ensemble import ConsensusResult, EnsembleView, _add_transpose, _distinct_rows, relabel_first_appearance
+from .ensemble import ConsensusResult, EnsembleView, _add_transpose, relabel_first_appearance
 from .kmeans import kmeans
 from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
 
@@ -54,54 +53,44 @@ REFINE_BLOCK = 256
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Membership edges between N object nodes and n_c cluster nodes.
+    """Membership edges between a view's N objects and its n_c clusters.
 
-    Object i has one edge per base clustering, to cluster cluster_ids[i, m];
-    every edge into cluster c weighs weights[c], the cluster's ECI, so
-    weights must cover every id (ValueError otherwise). A cluster of weight
-    0, or with no members, has no edges (`_live` flags the others). The M
-    clusters of a row are distinct, as in every EnsembleView, where each
-    column numbers its own clusters.
+    Object i has one edge per base clustering, to cluster cluster_ids[i, m]
+    of the view; every edge into cluster c weighs weights[c], the cluster's
+    ECI. weights holds one finite weight >= 0 per cluster of the view
+    (ValueError otherwise), and a cluster of weight 0 has no edges.
 
-    Objects with equal rows of cluster_ids have equal edges, so the passes
-    that see an object only through its edges run once per distinct row:
-    `rows` is the (row, first, counts) numbering of `_distinct_rows`, handed
-    over from the view by `build_lwbg` and otherwise built on first use.
+    Objects with equal label rows have equal edges, so the passes that see
+    an object only through its edges run once per distinct row of the
+    view's `_rows` numbering.
     """
 
-    cluster_ids: np.ndarray
+    view: EnsembleView
     weights: np.ndarray
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        needed = int(self.cluster_ids.max(initial=-1)) + 1
-        if self.weights.size < needed:
-            raise ValueError(f"cluster ids need {needed} weights, got {self.weights.size}")
+        if self.weights.shape != (self.view.n_clusters,):
+            raise ValueError(f"view has {self.view.n_clusters} clusters, got weights of shape {self.weights.shape}")
+        if not ((self.weights >= 0) & (self.weights < np.inf)).all():  # NaN fails both tests
+            raise ValueError("weights must be finite and >= 0")
+
+    @property
+    def cluster_ids(self) -> np.ndarray:
+        return self.view.cluster_ids
 
     @property
     def n_objects(self) -> int:
-        return self.cluster_ids.shape[0]
+        return self.view.n_objects
 
     @property
     def n_clusters(self) -> int:
-        return self.weights.size
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.rows is not None:
-            return self.rows
-        return _distinct_rows(self.cluster_ids, [self.cluster_ids.max() + 1] * self.cluster_ids.shape[1])
-
-    @cached_property
-    def _live(self) -> np.ndarray:
-        _, first, _ = self._rows
-        return (self.weights > 0) & (np.bincount(self.cluster_ids[first].ravel(), minlength=self.n_clusters) > 0)
+        return self.view.n_clusters
 
 
 def _require_live_edges(graph: BipartiteGraph, advice: str = "") -> None:
     """Raise ValueError naming the first object whose clusters all weigh 0."""
-    _, first, counts = graph._rows
-    isolated = np.flatnonzero(~graph._live[graph.cluster_ids[first]].any(axis=1))
+    _, first, counts = graph.view._rows
+    isolated = np.flatnonzero((graph.weights[graph.cluster_ids[first]] == 0).all(axis=1))
     if isolated.size:
         raise ValueError(
             f"{counts[isolated].sum()} objects (first {first[isolated[0]]}) have only zero-weight clusters{advice}"
@@ -109,13 +98,13 @@ def _require_live_edges(graph: BipartiteGraph, advice: str = "") -> None:
 
 
 def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
-    """Build the reliability-weighted bipartite graph of an annotated ensemble.
+    """Build the reliability-weighted bipartite graph of an annotated ensemble,
+    `BipartiteGraph(view, report.eci)`.
 
-    Raises ValueError if all of some object's cluster weights underflow to 0.
+    Raises ValueError if the report does not cover the view's clusters, or if
+    all of some object's cluster weights underflow to 0.
     """
-    if len(report.eci) != view.n_clusters:
-        raise ValueError(f"report covers {len(report.eci)} clusters, view has {view.n_clusters}")
-    graph = BipartiteGraph(cluster_ids=view.cluster_ids, weights=report.eci, rows=view._rows)
+    graph = BipartiteGraph(view, report.eci)
     _require_live_edges(graph, f" at theta={report.theta:g}; use a larger theta")
     return graph
 
@@ -123,11 +112,11 @@ def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
 class _Edges(NamedTuple):
     """A graph's N x M edges with the clusters that have none removed.
 
-    columns[i, m] is the id, among the graph's `_live` clusters, of object i's
-    m-th cluster, and weights[i, m] is that edge's weight divided by the
-    largest edge weight (the normalized cut is scale-invariant). An edge into
-    a zero-weight cluster has column 0 and weight 0. degrees holds the
-    N + n_c node degrees, objects first. row and first are the graph's
+    columns[i, m] is the id, among the graph's positive-weight clusters, of
+    object i's m-th cluster, and weights[i, m] is that edge's weight divided
+    by the largest edge weight (the normalized cut is scale-invariant). An
+    edge into a zero-weight cluster has column 0 and weight 0. degrees holds the
+    N + n_c node degrees, objects first. row and first are the view's
     distinct-row numbering: object i has the edges of object first[row[i]].
     """
 
@@ -140,28 +129,28 @@ class _Edges(NamedTuple):
 
 
 def _edges(graph: BipartiteGraph) -> _Edges:
-    keep = graph._live
+    keep = graph.weights > 0
     live = keep[graph.cluster_ids]
     columns = np.where(live, (np.cumsum(keep) - 1)[graph.cluster_ids], 0)
     weights = np.where(live, graph.weights[graph.cluster_ids], 0.0)
     weights /= weights.max()
     nc = int(keep.sum())
     cluster_degrees = np.bincount(columns.ravel(), weights=weights.ravel(), minlength=nc)
-    row, first, _ = graph._rows
+    row, first, _ = graph.view._rows
     return _Edges(columns, weights, nc, np.concatenate([weights.sum(axis=1), cluster_degrees]), row, first)
 
 
 def _connected_components(graph: BipartiteGraph) -> np.ndarray:
     """Component id per object node; zero-weight clusters join nothing.
 
-    Min-label propagation row -> cluster -> row over the graph's p distinct
+    Min-label propagation row -> cluster -> row over the view's p distinct
     rows plus pointer jumping (a label always names a row of the same
     component), until each component carries its least row, which holds its
     least object, as rows are numbered by first appearance.
     """
-    row, first, _ = graph._rows
+    row, first, _ = graph.view._rows
     ids = graph.cluster_ids[first]
-    dead = ~graph._live
+    dead = graph.weights == 0
     p = first.size
     comp = np.arange(p)
     while True:
@@ -421,11 +410,11 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     agree unless k-means meets a tie within rounding. At 1,020 clusters the
     Lanczos takes about 40 ms against 0.25 s for the eigh.
 
-    The steps read the N x M edges of `graph.cluster_ids` (see `_Edges`).
-    Objects with equal rows have equal edges, so the live-edge check, the
-    components and the transfers of the embedding and the sweeps run once
-    per distinct row and are gathered to the objects, with each row's
-    M-term sum made as each of its objects' would be. W_c
+    The steps read the N x M edges of the graph's view (see `_Edges`).
+    Objects with equal label rows have equal edges, so the live-edge check,
+    the components and the transfers of the embedding and the sweeps run
+    once per distinct row of the view and are gathered to the objects, with
+    each row's M-term sum made as each of its objects' would be. W_c
     (`_cluster_graph`), the degrees, k-means and the refinement's block
     scan (`_refine_partition`) run over the objects, in object order, so
     every sum keeps its bits. Memory is O(N M + n_c^2); no dense N x n_c
@@ -450,7 +439,7 @@ def _tcuts(graph: BipartiteGraph, ks, seed=0) -> list[np.ndarray]:
     during the transfers, k-means and refinements. No stage is built when
     every k takes the components fallback.
     """
-    n, nc = graph.n_objects, int(graph._live.sum())
+    n, nc = graph.n_objects, int(np.count_nonzero(graph.weights))
     for k in ks:
         if not 2 <= k <= min(n, nc):
             raise ValueError(f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}")

@@ -77,12 +77,20 @@ def eci(uncertainty: float, theta: float, ensemble_size: int) -> float:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Per-cluster uncertainty (bits) and reliability weight for one ensemble."""
+    """Per-cluster uncertainty (bits) and reliability weight for one ensemble:
+    two 1-D vectors of equal length, finite and >= 0 (ValueError otherwise)."""
 
     uncertainty: np.ndarray
     eci: np.ndarray
     theta: float
     ensemble_size: int
+
+    def __post_init__(self):
+        for name, values in (("uncertainty", self.uncertainty), ("eci", self.eci)):
+            if np.ndim(values) != 1 or not ((values >= 0) & (values < np.inf)).all():  # NaN fails both tests
+                raise ValueError(f"{name} must be a 1-D vector of finite values >= 0")
+        if len(self.uncertainty) != len(self.eci):
+            raise ValueError(f"uncertainty covers {len(self.uncertainty)} clusters, eci {len(self.eci)}")
 
 
 def annotate_validity(view: EnsembleView, theta: float = DEFAULT_THETA) -> ValidityReport:

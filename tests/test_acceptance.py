@@ -257,7 +257,7 @@ def test_criterion_8_module_invariants():
         ok &= len(pairs) == k + 1
 
     graph = build_lwbg(view, report)
-    doubled = BipartiteGraph(graph.cluster_ids, graph.weights * 2.0)
+    doubled = BipartiteGraph(graph.view, graph.weights * 2.0)
     ok &= bool(
         np.array_equal(
             tcut_partition(graph, 3, seed=1).labels,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lwec import (
-    BipartiteGraph,
     ConsensusResult,
     DegenerateClusteringWarning,
     LabelMatrix,
@@ -240,10 +239,8 @@ class TestDistinctRows:
     def test_graph_numbers_its_own_rows(self):
         arr = repeated_rows(5, n=300)
         view = build_ensemble_view(LabelMatrix.from_array(arr))
-        graph = BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
-        for have, want in zip(graph._rows, view._rows):
-            assert np.array_equal(have, want)
-        assert build_lwbg(view, annotate_validity(view, 0.4)).rows is view._rows
+        # the graph reads the view's numbering; it keeps none of its own
+        assert build_lwbg(view, annotate_validity(view, 0.4)).view._rows is view._rows
 
     def test_numbered_once_per_view(self, monkeypatch):
         calls = []

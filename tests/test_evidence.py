@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from lwec import (
@@ -70,6 +70,13 @@ class TestBuildDendrogram:
         values = np.array([[1.0, 0.2, bad], [0.2, 1.0, 0.5], [bad, 0.5, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             build_dendrogram(CoassocMatrix(values, "ca"))
+
+    def test_negative_entry_rejected(self):
+        # the demotion bound assumes entries >= 0: on this matrix the loop
+        # merged (20, 11, 21) where the dense loop merges (18, 20, 21)
+        values = np.array([[-0.3, -1 / 3], [-1 / 3, -1 / 3]])
+        with pytest.raises(ValueError, match="^similarity matrix has a negative entry$"):
+            build_dendrogram(CoassocMatrix(values, "ca", np.array([0] * 8 + [1] * 4)))
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError, match="must be square"):
@@ -182,6 +189,22 @@ class TestMicroclusters:
         # the path of lwea and eac, on a writeable copy it may consume
         leaf = np.arange(matrix.n) if matrix.leaf is None else matrix.leaf
         assert merge_tuples(_dendrogram(np.array(matrix.values), leaf)) == expected
+
+    @seed(24)
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_above_one(self, data):
+        # hand-built matrices reach 3, above any co-association: the loop
+        # needs entries >= 0 only, not <= 1
+        p = data.draw(st.integers(1, 6))
+        palette = [0.0, 0.3, 1 / 3, 0.7, 1.0, 1.3, 2.0, 7 / 3, 2.1, 3.0]
+        cells = data.draw(st.lists(st.sampled_from(palette), min_size=p * p, max_size=p * p))
+        upper = np.triu(np.reshape(cells, (p, p)))
+        values = upper + np.triu(upper, 1).T
+        sizes = data.draw(st.lists(st.integers(1, 15 // p), min_size=p, max_size=p))
+        members = data.draw(st.permutations(np.repeat(np.arange(p), sizes).tolist()))
+        assume(len(members) >= 2)
+        self.assert_dense_loop(CoassocMatrix(values, "lwca", relabel_first_appearance(np.array(members))))
 
     def test_worked_example_stores_one_row_per_distinct_label_row(self, worked_view):
         matrix = build_ca(worked_view)

@@ -1,6 +1,7 @@
 """Bipartite graph construction and the transfer-cut partitioner."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -122,7 +123,7 @@ class TestTcutPartition:
                 LabelMatrix.from_array(random_label_array(rng, 14, 3))
             )
             graph = graph_from(view, theta=0.4)
-            scaled = BipartiteGraph(graph.cluster_ids, graph.weights * 2.0)
+            scaled = BipartiteGraph(graph.view, graph.weights * 2.0)
             a = tcut_partition(graph, 3, seed=trial)
             b = tcut_partition(scaled, 3, seed=trial)
             assert np.array_equal(a.labels, b.labels)
@@ -262,7 +263,7 @@ class TestConnectedComponents:
     def test_matches_bfs_oracle(self, arr):
         m = LabelMatrix.from_array(arr)
         view = build_ensemble_view(m)
-        graph = BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
+        graph = BipartiteGraph(view, np.ones(view.n_clusters))
         assert np.array_equal(_connected_components(graph), ref.components_ref(m.labels))
 
     def test_shuffled_two_column_chain_is_one_component(self):
@@ -290,9 +291,9 @@ class TestConnectedComponents:
         view = build_ensemble_view(LabelMatrix.from_array(arr))
         weights = np.ones(view.n_clusters)
         weights[-1] = 0.0
-        graph = BipartiteGraph(view.cluster_ids, weights)
+        graph = BipartiteGraph(view, weights)
         assert np.array_equal(_connected_components(graph), ref.components_ref(arr[:, :2]))
-        pair = BipartiteGraph(view.cluster_ids[:, :2], weights[:-1])
+        pair = BipartiteGraph(build_ensemble_view(LabelMatrix.from_array(arr[:, :2])), weights[:-1])
         assert np.array_equal(ref.affinity_ref(graph), ref.affinity_ref(pair))
 
 
@@ -342,7 +343,7 @@ def weighted_graph(rng, nodes, clusters_per_column, choices=None):
     weights[first:] = np.where(weights[first:] > 0, weights[first:], 1.0)
     arr = exact_label_array(rng, nodes - int((weights > 0).sum()), clusters_per_column)
     view = build_ensemble_view(LabelMatrix.from_array(arr))
-    return BipartiteGraph(view.cluster_ids, weights)
+    return BipartiteGraph(view, weights)
 
 
 def scaled_affinity(graph):
@@ -440,7 +441,7 @@ class TestRefineBlockScan:
             rows = exact_label_array(rng, 30, (3, 3, 2, 4))
             arr = rows[rng.integers(0, 30, size=graphcut.REFINE_BLOCK + 20)]
             view = build_ensemble_view(LabelMatrix.from_array(arr))
-            graph = BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
+            graph = BipartiteGraph(view, np.ones(view.n_clusters))
             k = int(rng.integers(2, 5))
             labels = arr[:, trial % 4] % k
             labels[:k] = np.arange(k)  # every segment starts non-empty, as after k-means
@@ -464,7 +465,7 @@ class TestSparseSpectral:
                 spared = (column + 1) % view.n_clusterings
             isolated = ~(weights > 0)[view.cluster_ids].any(axis=1)
             weights[view.cluster_ids[isolated, spared]] = 0.5
-            yield BipartiteGraph(view.cluster_ids, weights)
+            yield BipartiteGraph(view, weights)
 
     def test_matches_dense_formulas(self):
         rng = np.random.default_rng(103)
@@ -507,15 +508,15 @@ class TestRepeatedRows:
         rng = np.random.default_rng(131)
         for seed in (17, 18):
             view = build_ensemble_view(LabelMatrix.from_array(repeated_rows(seed)))
-            yield BipartiteGraph(view.cluster_ids, np.ones(view.n_clusters))
+            yield BipartiteGraph(view, np.ones(view.n_clusters))
             weights = rng.uniform(0.05, 1.0, view.n_clusters)
             weights[view.column_offsets[1]:view.column_offsets[2]] = 0.0  # one dead column
             weights[view.column_offsets[3]] = 0.0
-            yield BipartiteGraph(view.cluster_ids, weights)
+            yield BipartiteGraph(view, weights)
         # three blocks of rows that share no label: three components
         rows = rng.integers(0, 2, size=(30, 5)) + 2 * (np.arange(30) % 3)[:, None]
         view = build_ensemble_view(LabelMatrix.from_array(rows[rng.integers(0, 30, size=2000)]))
-        yield BipartiteGraph(view.cluster_ids, rng.uniform(0.05, 1.0, view.n_clusters))
+        yield BipartiteGraph(view, rng.uniform(0.05, 1.0, view.n_clusters))
         yield from TestSparseSpectral().graphs()
 
     def test_passes_equal_the_per_object_oracles(self):
@@ -540,7 +541,7 @@ class TestRepeatedRows:
         isolated = np.flatnonzero((ids == ids[1000]).all(axis=1))
         assert 1 < isolated.size < 1000 < isolated[-1]
         with pytest.raises(ValueError, match=rf"^{isolated.size} objects \(first {isolated[0]}\)"):
-            tcut_partition(BipartiteGraph(view.cluster_ids, weights), 3)
+            tcut_partition(BipartiteGraph(view, weights), 3)
 
     def test_refinement_with_wide_cluster_ids(self):
         # n_c = 300 > 255: the member CSR sorts uint16 cluster ids
@@ -548,7 +549,7 @@ class TestRepeatedRows:
         rows = exact_label_array(rng, 300, (100, 100, 100))
         arr = np.vstack([rows, rows[rng.integers(0, 300, size=200)]])
         view = build_ensemble_view(LabelMatrix.from_array(arr))
-        graph = BipartiteGraph(view.cluster_ids, rng.choice([0.25, 0.5, 1.0], view.n_clusters))
+        graph = BipartiteGraph(view, rng.choice([0.25, 0.5, 1.0], view.n_clusters))
         assert np.min_scalar_type(graph.n_clusters) == np.uint16
         labels = rng.integers(0, 3, size=graph.n_objects)
         TestRefineBlockScan().check(graph, labels, 3, 100, exact=True)
@@ -693,40 +694,36 @@ def test_golden_lwgp_labels(blob_view_m20, theta, k):
 def test_isolated_object_rejected_by_tcut():
     # object 2 has only clusters 2 and 6, both of weight 0
     ids = np.array([[0, 4], [1, 5], [2, 6], [3, 7], [0, 5], [1, 4], [3, 7], [0, 4]])
+    view = build_ensemble_view(LabelMatrix.from_array(ids - [0, 4]))
+    assert np.array_equal(view.cluster_ids, ids)
     weights = np.ones(8)
     weights[[2, 6]] = 0.0
-    graph = BipartiteGraph(ids, weights)
+    graph = BipartiteGraph(view, weights)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"1 objects \(first 2\) have only zero-weight"):
             tcut_partition(graph, 3, seed=0)
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("spare", ["trailing", "middle"])
-def test_member_less_clusters_cut_as_if_absent(seed, spare):
-    # a positive weight for a cluster id that no object uses, past the last or
-    # skipped in the middle: its W_c row would be all zero, and its inverse
-    # square-root degree would divide by zero
-    rng = np.random.default_rng(seed)
-    view = build_ensemble_view(LabelMatrix.from_array(rng.integers(0, 4, size=(60, 3))))
-    weights = rng.random(view.n_clusters)
-    expected = tcut_partition(BipartiteGraph(view.cluster_ids, weights), 3).labels
-    at = view.n_clusters if spare == "trailing" else view.n_clusters // 2
-    ids = view.cluster_ids + (view.cluster_ids >= at)
-    graph = BipartiteGraph(ids, np.insert(weights, at, rng.random()))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.array_equal(tcut_partition(graph, 3).labels, expected)
-
-
 def test_short_weights_rejected():
-    # one weight fewer than the clusters the ids reach: named here, not by a
-    # numpy broadcast deep inside the cut
+    # one weight per cluster of the view, named here, not by a numpy
+    # broadcast deep inside the cut: short, long and 2-D vectors fail
     view = build_ensemble_view(LabelMatrix.from_array(np.random.default_rng(0).integers(0, 4, size=(60, 3))))
-    short = view.n_clusters - 1
-    with pytest.raises(ValueError, match=rf"^cluster ids need {view.n_clusters} weights, got {short}$"):
-        BipartiteGraph(view.cluster_ids, np.ones(short))
+    n_c = view.n_clusters
+    for shape in [(n_c - 1,), (n_c + 1,), (n_c, 1)]:
+        with pytest.raises(ValueError, match=rf"^view has {n_c} clusters, got weights of shape {re.escape(str(shape))}$"):
+            BipartiteGraph(view, np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_bad_weight_rejected(bad):
+    # a NaN weight was cut as 0, an infinite one failed in eigh, a negative
+    # one dropped its cluster
+    view = build_ensemble_view(LabelMatrix.from_array(np.random.default_rng(0).integers(0, 3, size=(40, 4))))
+    weights = annotate_validity(view, 0.4).eci.copy()
+    weights[2] = bad
+    with pytest.raises(ValueError, match=r"^weights must be finite and >= 0$"):
+        BipartiteGraph(view, weights)
 
 
 def test_spectral_path_builds_no_dense_affinity():
@@ -838,7 +835,7 @@ class TestSharedStage:
         """Cut every k of `ks` in one call and compare each k's labels with a
         cut at k alone. Returns the call's PartitionWarning messages and the
         cluster graphs, full eighs and Lanczos runs it made."""
-        made = {"graphs": 0, "eighs": full_eigh_calls(monkeypatch, int(graph._live.sum())), "lanczos": []}
+        made = {"graphs": 0, "eighs": full_eigh_calls(monkeypatch, int(np.count_nonzero(graph.weights))), "lanczos": []}
         cluster_graph, top = graphcut._cluster_graph, graphcut._top_eigenvectors
 
         def counting(*args):

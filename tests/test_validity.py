@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,3 +325,29 @@ class TestAnnotateValidity:
     def test_infinite_theta_gives_unit_weights(self, worked_view):
         assert (annotate_validity(worked_view, theta=math.inf).eci == 1.0).all()
         assert eci(2.5, math.inf, 3) == 1.0
+
+
+class TestReportChecks:
+    """A report holds one finite value >= 0 per cluster in each vector: a NaN,
+    infinite or negative weight reached lwea as an UnboundLocalError, an
+    IndexError or a skewed cut, and lwgp dropped the cluster or failed in eigh."""
+
+    @pytest.fixture
+    def report(self):
+        view = build_ensemble_view(LabelMatrix.from_array(np.random.default_rng(0).integers(0, 3, size=(40, 4))))
+        return annotate_validity(view, 0.4)
+
+    @pytest.mark.parametrize("name", ["uncertainty", "eci"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_bad_value_rejected(self, report, name, bad):
+        values = getattr(report, name).copy()
+        values[2] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must be a 1-D vector of finite values >= 0$"):
+            replace(report, **{name: values})
+
+    def test_vectors_of_other_shapes_rejected(self, report):
+        n_c = report.eci.size
+        with pytest.raises(ValueError, match=r"^eci must be a 1-D"):
+            replace(report, eci=report.eci[:, None])
+        with pytest.raises(ValueError, match=rf"^uncertainty covers {n_c} clusters, eci {n_c - 1}$"):
+            replace(report, eci=report.eci[:-1])
