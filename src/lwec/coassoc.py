@@ -28,7 +28,7 @@ __all__ = ["CoassocMatrix", "build_ca", "build_lwca", "write_lower_triangle"]
 SCATTER_PAIRS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoassocMatrix:
     """Symmetric N x N similarity with entries in [0, 1], stored by microcluster.
 

@@ -110,7 +110,7 @@ def _add_transpose(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelMatrix:
     """N x M integer matrix; column m holds base clustering m as dense 0-based labels."""
 
@@ -160,7 +160,7 @@ class LabelMatrix:
         return sum(self.clusters_per_column)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleView:
     """Label matrix plus cluster_ids[i, m], the pooled id of object i's cluster in
     column m: the only representation of the pooled clusters. Column m's clusters
@@ -221,7 +221,7 @@ def build_ensemble_view(labels: LabelMatrix) -> EnsembleView:
     return EnsembleView(labels=labels, column_offsets=offsets, cluster_ids=cluster_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsensusResult:
     """A consensus labeling: length-N vector with values in [0, k)."""
 

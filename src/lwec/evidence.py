@@ -25,7 +25,7 @@ __all__ = [
     "eac",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dendrogram:
     """N-1 merges over regions; leaves are 0..N-1, merges create N..2N-2.
 

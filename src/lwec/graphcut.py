@@ -37,13 +37,14 @@ class PartitionWarning(UserWarning):
 # two golden label sets and made 10k-object cuts up to 4x slower.
 SWEEP_START_LIMIT = 20_000
 
-# Graphs with at most this many positive-weight clusters take the k leading
-# eigenvectors of the normalized cluster graph from a full eigh, larger ones
-# from the block Lanczos of _top_eigenvectors. Measured crossover on one
-# thread, k = 2..5, Voronoi ensembles of three blobs: the Lanczos is faster
-# from about 450 clusters with 10% label noise, and from about 700 without
-# noise, where it needs the most blocks.
-EIGH_MAX_CLUSTERS = 700
+# Graphs with at most this many positive-weight clusters take their leading
+# eigenpairs from a full eigh, larger ones from the block Lanczos of
+# _top_eigenvectors. Median ms on one thread, three-blob Voronoi ensembles
+# (N = 2,000, noise 0 and 0.1), the Lanczos at k = 2, 3 and 5:
+#   n_c      170      260       300       330       510     680
+#   eigh     3.5      7.7-8.1   8.2-11    10-14     40-43   71-77
+#   Lanczos  5.8-13   7.5-13    5.3-16    7.9-17    15-22   17-30
+EIGH_MAX_CLUSTERS = 300
 
 # Consecutive nodes whose move gains _refine_partition evaluates in one numpy
 # pass; a larger block wastes more work past each move, a smaller one pays
@@ -51,7 +52,7 @@ EIGH_MAX_CLUSTERS = 700
 REFINE_BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Membership edges between a view's N objects and its n_c clusters.
 
@@ -199,50 +200,55 @@ def _transfer(edges: _Edges, share: np.ndarray, f_cluster: np.ndarray) -> np.nda
     return f_rows[edges.row]
 
 
-def _top_eigenvectors(sym: np.ndarray, k: int) -> np.ndarray:
-    """The k leading eigenvectors of a symmetric matrix, by block Lanczos.
+def _top_eigenvectors(sym: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `top` leading eigenpairs of a symmetric matrix, (values, vectors) in
+    ascending order like the tail of a full eigh, which answers for matrices
+    of at most EIGH_MAX_CLUSTERS rows.
 
-    Blocks of k columns, starting from a fixed-seed PCG64 block, grow an
-    orthonormal basis Q of the Krylov space. Each new product sym @ Q_last is
-    orthogonalized against all of Q twice, and the coefficients fill
-    T = Q^T sym Q. After each block, Rayleigh-Ritz on T gives the k leading
-    Ritz pairs. The loop stops once every Ritz residual ||r w_last|| is at
-    most 1e-10 (r is the part of sym @ Q_last outside Q, w_last the last
-    block of the Ritz vector in T's coordinates; the normalized cluster
-    graph has spectral norm 1). If the basis would first outgrow the matrix,
-    or (4 k n^3)^(1/4) columns, beyond which the Rayleigh-Ritz steps alone
-    cost about one full eigh, the full eigh answers instead.
-
-    Columns come in ascending eigenvalue order, as from eigh, but the basis
-    of the leading subspace is another one: the transfer cut only needs the
-    subspace, since its row-normalized embedding is seen through row norms
-    and distances alone. Deterministic: the same input gives the same bytes.
+    Larger ones take a block Lanczos from a fixed-seed PCG64 block of `top`
+    columns. The basis Q, the rows of a buffer that doubles when full, grows
+    by sym @ Q_last orthogonalized against all of Q twice, whose coefficients
+    fill T = Q^T sym Q. Each time Q has grown by a quarter, Rayleigh-Ritz on
+    T ends the loop if every Ritz residual ||r w_last|| is at most 1e-10 (r:
+    the part of sym @ Q_last outside Q; w_last: the Ritz vector's last block
+    in T's coordinates; the normalized cluster graph has spectral norm 1).
+    Past min(n, (4 top n^3)^(1/4)) columns, where the Rayleigh-Ritz steps
+    alone cost about one full eigh, one last check runs and the full eigh
+    answers. Its vectors are another basis of each leading subspace than
+    eigh's, all the row-normalized embedding sees. Same input, same bytes.
     """
     n = sym.shape[0]
-    budget = min(n, (4 * k * n**3) ** 0.25)
-    rng = np.random.Generator(np.random.PCG64(0))
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    basis = q
-    t = np.zeros((0, 0))
-    while True:
-        y = sym @ q
-        h = basis.T @ y
-        r = y - basis @ h
-        c = basis.T @ r
-        r -= basis @ c
-        h += c
-        t = np.block([[t, h[:-k]], [h[:-k].T, h[-k:]]])
-        _, w = np.linalg.eigh(t)
-        w = w[:, -k:]
-        if (np.linalg.norm(r @ w[-k:], axis=0) <= 1e-10).all():
-            return basis @ w
-        if basis.shape[1] + k > budget:
-            return np.linalg.eigh(sym)[1][:, -k:]
-        # where r is rank-deficient its QR invents columns that need not be
-        # orthogonal to the basis; one more projection makes them so
-        q, _ = np.linalg.qr(r)
-        q, _ = np.linalg.qr(q - basis @ (basis.T @ q))
-        basis = np.hstack([basis, q])
+    budget = min(n, (4 * top * n**3) ** 0.25)
+    if n > EIGH_MAX_CLUSTERS and 2 * top <= budget:
+        basis, t = np.empty((2 * top, n)), np.zeros((2 * top, 2 * top))
+        basis[:top] = np.linalg.qr(np.random.Generator(np.random.PCG64(0)).standard_normal((n, top)))[0].T
+        size, checked = top, 0
+        while True:
+            q, last = basis[:size], slice(size - top, size)
+            y = basis[last] @ sym  # (sym @ Q_last)^T, as sym is symmetric
+            h = q @ y.T
+            r = y - h.T @ q
+            c = q @ r.T
+            r -= c.T @ q
+            t[last, :size] = (h + c).T  # eigh reads the lower triangle alone
+            if size + top > budget or size >= 1.25 * checked:
+                checked = size
+                values, w = np.linalg.eigh(t[:size, :size])
+                if (np.linalg.norm(w[-top:, -top:].T @ r, axis=1) <= 1e-10).all():
+                    return values[-top:], q.T @ w[:, -top:]
+            if size + top > budget:
+                break
+            if size + top > len(basis):
+                basis = np.empty((2 * len(basis), n))  # rows not yet written take no memory
+                basis[:size] = q
+                t = np.pad(t[:size, :size], (0, len(basis) - size))
+            # where r is rank-deficient its QR invents columns that need not be
+            # orthogonal to the basis; one more projection makes them so
+            new = np.linalg.qr(r.T)[0]
+            basis[size:size + top] = np.linalg.qr(new - q.T @ (q @ new))[0].T
+            size += top
+    values, vectors = np.linalg.eigh(sym)
+    return values[-top:], vectors[:, -top:].copy()
 
 
 def _sweep_starts(edges: _Edges, values: np.ndarray, u: np.ndarray, k: int) -> Iterator[np.ndarray]:
@@ -402,13 +408,12 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
     of `_sweep_starts` and keep one whose cut is lower by more than 1e-12.
     Deterministic for a fixed seed. This is `_tcuts` at one k.
 
-    The eigenpairs come from a full eigh on graphs of at most
-    EIGH_MAX_CLUSTERS positive-weight clusters and from the block Lanczos of
-    `_top_eigenvectors` on larger ones, which stops at Ritz residuals of
-    1e-10. Both give the same leading subspace up to rounding, and the
-    row-normalized embedding depends on that subspace alone, so the labels
-    agree unless k-means meets a tie within rounding. At 1,020 clusters the
-    Lanczos takes about 40 ms against 0.25 s for the eigh.
+    The eigenpairs come from `_top_eigenvectors`: a full eigh on graphs of
+    at most EIGH_MAX_CLUSTERS positive-weight clusters, a block Lanczos on
+    larger ones. Both give the same leading subspaces up to rounding, and the
+    row-normalized embedding depends on them alone, so the labels agree
+    unless k-means meets a tie within rounding. At 1,020 clusters the
+    Lanczos takes about 20 ms against 0.18 s for the eigh.
 
     The steps read the N x M edges of the graph's view (see `_Edges`).
     Objects with equal label rows have equal edges, so the live-edge check,
@@ -431,13 +436,13 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
 def _tcuts(graph: BipartiteGraph, ks, seed=0) -> list[np.ndarray]:
     """`tcut_partition`'s labels at every k of `ks`, from one spectral stage.
 
-    The checks, components, edges and normalized W_c are built once. One
-    eigh serves every k, which reads the same leading pairs as a cut at k
-    alone; on the Lanczos path `_top_eigenvectors` runs once per k on the
-    shared matrix. Only the max(ks) + 1 leading eigh columns, or each k's
-    Lanczos vectors, outlive the stage, so no n_c x n_c array is alive
-    during the transfers, k-means and refinements. No stage is built when
-    every k takes the components fallback.
+    The checks, components, edges and normalized W_c are built once, and one
+    `_top_eigenvectors` call takes the max(ks) + 1 leading pairs, of which
+    each k reads the last k: on the eigh path the bits a cut at k alone
+    reads, on the Lanczos path the same subspaces up to rounding. Only those
+    pairs outlive the stage, so no n_c x n_c array is alive during the
+    transfers, k-means and refinements. No stage is built when every k takes
+    the components fallback.
     """
     n, nc = graph.n_objects, int(np.count_nonzero(graph.weights))
     for k in ks:
@@ -455,13 +460,7 @@ def _tcuts(graph: BipartiteGraph, ks, seed=0) -> list[np.ndarray]:
         sym *= inv_sqrt[None, :]
         _add_transpose(sym)
         sym /= 2
-        if nc > EIGH_MAX_CLUSTERS:
-            values, leading = None, {k: _top_eigenvectors(sym, k) for k in spectral}
-        else:
-            values, vectors = np.linalg.eigh(sym)
-            top = max(spectral) + 1
-            values, vectors = values[-top:], vectors[:, -top:].copy()
-            leading = {k: vectors[:, -k:] for k in spectral}
+        values, vectors = _top_eigenvectors(sym, max(spectral) + 1)
         del sym
 
     labels = {}
@@ -474,7 +473,7 @@ def _tcuts(graph: BipartiteGraph, ks, seed=0) -> list[np.ndarray]:
             mapping[order[: k - 1]] = np.arange(k - 1)
             labels[k] = relabel_first_appearance(mapping[components])
             continue
-        embedding = _transfer(edges, edges.weights / edges.degrees[:n, None], leading[k])
+        embedding = _transfer(edges, edges.weights / edges.degrees[:n, None], vectors[:, -k:])
         norms = np.linalg.norm(embedding, axis=1)
         norms[norms == 0] = 1.0
         embedding /= norms[:, None]

@@ -201,7 +201,7 @@ def nmi(a, b) -> float:
     return float(min(1.0, max(0.0, info / math.sqrt(h_a * h_b))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepRow:
     """Per-run NMI scores for one method at one parameter point."""
 

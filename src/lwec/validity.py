@@ -75,10 +75,11 @@ def eci(uncertainty: float, theta: float, ensemble_size: int) -> float:
     return math.exp(-uncertainty / (theta * ensemble_size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidityReport:
     """Per-cluster uncertainty (bits) and reliability weight for one ensemble:
-    two 1-D vectors of equal length, finite and >= 0 (ValueError otherwise)."""
+    two 1-D vectors of equal length, finite and >= 0 (ValueError otherwise),
+    kept as read-only float64 copies, so that no checked value can change."""
 
     uncertainty: np.ndarray
     eci: np.ndarray
@@ -86,9 +87,12 @@ class ValidityReport:
     ensemble_size: int
 
     def __post_init__(self):
-        for name, values in (("uncertainty", self.uncertainty), ("eci", self.eci)):
-            if np.ndim(values) != 1 or not ((values >= 0) & (values < np.inf)).all():  # NaN fails both tests
+        for name in ("uncertainty", "eci"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if values.ndim != 1 or not ((values >= 0) & (values < np.inf)).all():  # NaN fails both tests
                 raise ValueError(f"{name} must be a 1-D vector of finite values >= 0")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if len(self.uncertainty) != len(self.eci):
             raise ValueError(f"uncertainty covers {len(self.uncertainty)} clusters, eci {len(self.eci)}")
 
@@ -107,8 +111,5 @@ def annotate_validity(view: EnsembleView, theta: float = DEFAULT_THETA) -> Valid
     total = np.zeros(view.n_clusters)
     for column in range(m):
         total += table[:, column]
-    weights = np.exp(-total / (theta * m))
-    total.flags.writeable = False
-    weights.flags.writeable = False
-    return ValidityReport(uncertainty=total, eci=weights, theta=theta, ensemble_size=m)
+    return ValidityReport(uncertainty=total, eci=np.exp(-total / (theta * m)), theta=theta, ensemble_size=m)
 

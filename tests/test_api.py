@@ -1,4 +1,5 @@
-"""Public names resolve, and the attributes that perfbench/bench.py reads keep their shapes."""
+"""Public names resolve, the attributes that perfbench/bench.py reads keep their
+shapes, and records that hold arrays compare by identity."""
 
 import importlib
 import os
@@ -11,11 +12,17 @@ import pytest
 
 import lwec
 from lwec import (
+    ConsensusResult,
+    LabelMatrix,
     annotate_validity,
     build_dendrogram,
+    build_ensemble_view,
     build_lwbg,
     build_lwca,
 )
+from lwec.harness import SweepRow
+
+from conftest import WORKED_ROWS
 
 MODULES = ("ensemble", "validity", "coassoc", "evidence", "graphcut", "kmeans", "harness")
 
@@ -51,6 +58,33 @@ def test_attributes_read_by_the_benchmark(worked_view):
 
     graph = build_lwbg(view, report)
     assert (graph.n_objects, graph.n_clusters) == (n, view.n_clusters)
+
+
+def records() -> dict:
+    """One of each record type that holds arrays, built from the worked example."""
+    matrix = LabelMatrix.from_array(np.array(WORKED_ROWS))
+    view = build_ensemble_view(matrix)
+    report = annotate_validity(view, theta=0.5)
+    lwca = build_lwca(view, report)
+    return {
+        "LabelMatrix": matrix,
+        "EnsembleView": view,
+        "ValidityReport": report,
+        "CoassocMatrix": lwca,
+        "Dendrogram": build_dendrogram(lwca),
+        "BipartiteGraph": build_lwbg(view, report),
+        "ConsensusResult": ConsensusResult(np.array([0, 1, 1, 0]), 2, "lwea"),
+        "SweepRow": SweepRow("lwea", "theta", 0.4, np.array([0.5, 0.75])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(records()))
+def test_records_compare_by_identity(name):
+    # a field-by-field == compared array fields elementwise and raised
+    # "The truth value of an array ... is ambiguous" on equal-valued twins
+    record, twin = records()[name], records()[name]
+    assert record == record
+    assert not (record == twin)
 
 
 def test_numpy_is_the_only_numeric_dependency():

@@ -556,8 +556,24 @@ class TestRepeatedRows:
 
 
 class TestTopEigenvectors:
-    """The block Lanczos finds eigh's leading subspace, and the transfer cut
-    built on it gives eigh's labels."""
+    """The block Lanczos finds eigh's leading eigenpairs, and the transfer cut
+    built on them gives eigh's labels."""
+
+    @pytest.fixture
+    def lanczos(self, monkeypatch):
+        """Send every matrix, however small, to the block Lanczos."""
+        monkeypatch.setattr(graphcut, "EIGH_MAX_CLUSTERS", 0)
+
+    @staticmethod
+    def check(sym, pairs, top, k):
+        """`top` pairs, orthonormal, with the values of eigh's tail, whose last
+        k vectors span eigh's leading k-dimensional subspace."""
+        values, vectors = pairs
+        expected_values, expected = np.linalg.eigh(sym)
+        assert values.shape == (top,) and vectors.shape == (sym.shape[0], top)
+        assert np.abs(vectors.T @ vectors - np.eye(top)).max() <= 1e-12
+        assert np.abs(values - expected_values[-top:]).max() <= 1e-10
+        assert subspace_gap(vectors[:, -k:], expected[:, -k:]) <= 1e-8
 
     @pytest.mark.parametrize(
         "n, ks, noise",
@@ -568,52 +584,51 @@ class TestTopEigenvectors:
         ],
     )
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_matches_eigh_subspace(self, n, ks, noise, k):
+    def test_matches_eigh_subspace(self, lanczos, n, ks, noise, k):
+        # _tcuts asks for k + 1 pairs: the sweep starts read one more axis
         sym = normalized_cluster_graph(graph_from(blob_voronoi_view(n, ks, 3, noise), 0.4))
-        v = graphcut._top_eigenvectors(sym, k)
-        assert v.shape == (sym.shape[0], k)
-        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
-        assert subspace_gap(v, np.linalg.eigh(sym)[1][:, -k:]) <= 1e-8
+        self.check(sym, graphcut._top_eigenvectors(sym, k + 1), k + 1, k)
 
     @pytest.mark.parametrize("columns", [8, 30])  # n_c 2 x 96 and 2 x 360
-    def test_two_components_double_eigenvalue_one(self, columns):
+    def test_two_components_double_eigenvalue_one(self, lanczos, columns):
         ks = np.rint(np.linspace(2, 22, columns)).astype(int)
         halves = [blob_voronoi_view(500, ks, seed, 0.1).labels.labels for seed in (5, 6)]
         arr = np.vstack([halves[0], halves[1] + halves[0].max(axis=0) + 1])
         graph = graph_from(build_ensemble_view(LabelMatrix.from_array(arr)), 0.4)
         assert _connected_components(graph).max() == 1
         sym = normalized_cluster_graph(graph)
-        values, vectors = np.linalg.eigh(sym)
+        values = np.linalg.eigh(sym)[0]
         assert np.allclose(values[-2:], 1.0) and values[-3] < 1.0 - 1e-3
-        assert subspace_gap(graphcut._top_eigenvectors(sym, 3), vectors[:, -3:]) <= 1e-8
+        self.check(sym, graphcut._top_eigenvectors(sym, 3), 3, 3)
 
     @pytest.mark.parametrize("size", [20, 250])  # n 60 and 750
-    def test_invariant_krylov_space_converges_without_eigh(self, monkeypatch, size):
+    def test_invariant_krylov_space_converges_without_eigh(self, monkeypatch, lanczos, size):
         # three equal blocks with all entries 1/size: eigenvalues 1 (three
         # times) and 0, so two blocks of three span an invariant space
         sym = np.kron(np.eye(3), np.full((size, size), 1.0 / size))
         calls = full_eigh_calls(monkeypatch, sym.shape[0])
-        v = graphcut._top_eigenvectors(sym, 3)
+        values, v = graphcut._top_eigenvectors(sym, 3)
         assert calls == []
         assert np.isfinite(v).all()
+        assert np.abs(values - 1.0).max() <= 1e-12
         assert np.abs(sym @ v - v).max() <= 1e-12
         indicators = np.kron(np.eye(3), np.ones((size, 1))) / np.sqrt(size)
         assert subspace_gap(v, indicators) <= 1e-12
 
-    def test_rank_deficient_block(self, monkeypatch):
-        # eigenvalues 1, 0.9, 0.8, 0.7 and 0.3 (56 times): with blocks of
-        # three the Krylov space spans 3, 6, then 7 dimensions, so the third
-        # block adds one direction and its QR invents two
+    def test_rank_deficient_block(self, monkeypatch, lanczos):
+        # eigenvalues 1, 0.9, 0.8, 0.7, 0.6 and 0.3 (55 times): with blocks of
+        # four the Krylov space spans 4, 8, then 9 dimensions, so the third
+        # block adds one direction and its QR invents three
         rng = np.random.default_rng(109)
         u, _ = np.linalg.qr(rng.standard_normal((60, 60)))
-        values = np.concatenate([[1.0, 0.9, 0.8, 0.7], np.full(56, 0.3)])
+        values = np.concatenate([[1.0, 0.9, 0.8, 0.7, 0.6], np.full(55, 0.3)])
         sym = (u * values) @ u.T
         sym = (sym + sym.T) / 2
         calls = full_eigh_calls(monkeypatch, 60)
-        v = graphcut._top_eigenvectors(sym, 3)
+        pairs = graphcut._top_eigenvectors(sym, 4)
         assert calls == []
-        assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-12
-        assert subspace_gap(v, u[:, :3]) <= 1e-8
+        self.check(sym, pairs, 4, 4)
+        assert subspace_gap(pairs[1], u[:, :4]) <= 1e-8
 
     @pytest.mark.parametrize("offset", [0, 1])
     def test_threshold_sizes(self, monkeypatch, offset):
@@ -621,25 +636,19 @@ class TestTopEigenvectors:
         graph = graph_from(blob_voronoi_view(1000, spread_sizes(n_c), 8), 0.4)
         assert int((graph.weights > 0).sum()) == n_c
         sym = normalized_cluster_graph(graph)
-        u = np.linalg.eigh(sym)[1][:, -3:]
-        assert subspace_gap(graphcut._top_eigenvectors(sym, 3), u) <= 1e-8
-
-        krylov_sizes = []
-        top = graphcut._top_eigenvectors
-
-        def spy(a, k):
-            krylov_sizes.append(a.shape[0])
-            return top(a, k)
-
-        monkeypatch.setattr(graphcut, "_top_eigenvectors", spy)
+        self.check(sym, graphcut._top_eigenvectors(sym, 4), 4, 3)
+        # at most EIGH_MAX_CLUSTERS clusters take the full eigh, more the Lanczos
+        calls = full_eigh_calls(monkeypatch, n_c)
         tcut_partition(graph, 3, seed=0)
-        assert krylov_sizes == [n_c] * offset
+        assert calls == [(n_c, n_c)] * (1 - offset)
 
     def test_deterministic_bytes(self):
         ks = np.rint(np.linspace(2, 39, 40)).astype(int)
         sym = normalized_cluster_graph(graph_from(blob_voronoi_view(1500, ks, 4), 0.4))
-        first = graphcut._top_eigenvectors(sym, 3)
-        assert graphcut._top_eigenvectors(sym.copy(), 3).tobytes() == first.tobytes()
+        assert sym.shape[0] > graphcut.EIGH_MAX_CLUSTERS
+        values, vectors = graphcut._top_eigenvectors(sym, 4)
+        again = graphcut._top_eigenvectors(sym.copy(), 4)
+        assert again[0].tobytes() == values.tobytes() and again[1].tobytes() == vectors.tobytes()
 
     def test_wide_noisy_labels_match_full_eigh(self, monkeypatch):
         # the benchmark's wide-noisy family: N = 1,000, M = 60 columns of
@@ -647,6 +656,17 @@ class TestTopEigenvectors:
         ks = np.rint(np.linspace(2, 32, 60)).astype(int)
         view = blob_voronoi_view(1000, ks, 10, noise=0.1)
         assert view.n_clusters == 1020 > graphcut.EIGH_MAX_CLUSTERS
+        graph = graph_from(view, 0.4)
+        labels = {k: tcut_partition(graph, k, seed=0).labels for k in (2, 3, 5)}
+        monkeypatch.setattr(graphcut, "EIGH_MAX_CLUSTERS", view.n_clusters)
+        for k, got in labels.items():
+            assert np.array_equal(got, tcut_partition(graph, k, seed=0).labels)
+
+    def test_lwgp_large_labels_match_full_eigh(self, monkeypatch):
+        # the benchmark's lwgp-large family: N = 10,000, M = 10 columns of
+        # 2..100 clusters
+        view = blob_voronoi_view(10_000, np.rint(np.linspace(2, 100, 10)).astype(int), 1)
+        assert view.n_clusters == 510 > graphcut.EIGH_MAX_CLUSTERS
         graph = graph_from(view, 0.4)
         labels = {k: tcut_partition(graph, k, seed=0).labels for k in (2, 3, 5)}
         monkeypatch.setattr(graphcut, "EIGH_MAX_CLUSTERS", view.n_clusters)
@@ -834,8 +854,8 @@ class TestSharedStage:
     def cut(monkeypatch, graph, ks):
         """Cut every k of `ks` in one call and compare each k's labels with a
         cut at k alone. Returns the call's PartitionWarning messages and the
-        cluster graphs, full eighs and Lanczos runs it made."""
-        made = {"graphs": 0, "eighs": full_eigh_calls(monkeypatch, int(np.count_nonzero(graph.weights))), "lanczos": []}
+        cluster graphs, full eighs and `_top_eigenvectors` calls (by top) it made."""
+        made = {"graphs": 0, "eighs": full_eigh_calls(monkeypatch, int(np.count_nonzero(graph.weights))), "tops": []}
         cluster_graph, top = graphcut._cluster_graph, graphcut._top_eigenvectors
 
         def counting(*args):
@@ -843,7 +863,7 @@ class TestSharedStage:
             return cluster_graph(*args)
 
         monkeypatch.setattr(graphcut, "_cluster_graph", counting)
-        monkeypatch.setattr(graphcut, "_top_eigenvectors", lambda a, k: made["lanczos"].append(k) or top(a, k))
+        monkeypatch.setattr(graphcut, "_top_eigenvectors", lambda a, t: made["tops"].append(t) or top(a, t))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             labels = graphcut._tcuts(graph, ks, seed=3)
@@ -858,16 +878,16 @@ class TestSharedStage:
         graph = graph_from(blob_view_m20, 0.4)
         assert graph.n_clusters <= graphcut.EIGH_MAX_CLUSTERS
         caught, made = self.cut(monkeypatch, graph, [5, 2, 8, 3, 5])
-        assert made == {"graphs": 1, "eighs": [(graph.n_clusters,) * 2], "lanczos": []}
+        assert made == {"graphs": 1, "eighs": [(graph.n_clusters,) * 2], "tops": [9]}
         assert caught == []
 
-    def test_lanczos_path_runs_once_per_k(self, monkeypatch):
+    def test_lanczos_path_runs_once(self, monkeypatch):
         # the wide-noisy family of test_wide_noisy_labels_match_full_eigh
         view = blob_voronoi_view(1000, np.rint(np.linspace(2, 32, 60)).astype(int), 10, noise=0.1)
         graph = graph_from(view, 0.4)
         assert graph.n_clusters > graphcut.EIGH_MAX_CLUSTERS
         caught, made = self.cut(monkeypatch, graph, [3, 2, 5])
-        assert made == {"graphs": 1, "eighs": [], "lanczos": [3, 2, 5]}
+        assert made == {"graphs": 1, "eighs": [], "tops": [6]}
         assert caught == []
 
     def test_sweep_start_graph(self, monkeypatch):

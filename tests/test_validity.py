@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from lwec import (
     LabelMatrix,
+    ValidityReport,
     annotate_validity,
     build_ensemble_view,
     eci,
@@ -333,8 +334,11 @@ class TestReportChecks:
     IndexError or a skewed cut, and lwgp dropped the cluster or failed in eigh."""
 
     @pytest.fixture
-    def report(self):
-        view = build_ensemble_view(LabelMatrix.from_array(np.random.default_rng(0).integers(0, 3, size=(40, 4))))
+    def view(self):
+        return build_ensemble_view(LabelMatrix.from_array(np.random.default_rng(0).integers(0, 3, size=(40, 4))))
+
+    @pytest.fixture
+    def report(self, view):
         return annotate_validity(view, 0.4)
 
     @pytest.mark.parametrize("name", ["uncertainty", "eci"])
@@ -351,3 +355,17 @@ class TestReportChecks:
             replace(report, eci=report.eci[:, None])
         with pytest.raises(ValueError, match=rf"^uncertainty covers {n_c} clusters, eci {n_c - 1}$"):
             replace(report, eci=report.eci[:-1])
+
+    @pytest.mark.parametrize("name", ["uncertainty", "eci"])
+    def test_checked_vector_cannot_be_written(self, report, name):
+        # a NaN written after the check made lwea raise UnboundLocalError
+        held = replace(report, **{name: getattr(report, name).copy()})
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(held, name)[2] = np.nan
+
+    def test_caller_array_change_leaves_report(self, view, report):
+        weights = report.eci.copy()
+        held = ValidityReport(report.uncertainty, weights, 0.4, 4)
+        weights[2] = np.nan
+        assert np.array_equal(held.eci, report.eci)
+        assert np.array_equal(lwea(view, 3, report=held).labels, lwea(view, 3, report=report).labels)
