@@ -56,8 +56,9 @@ class CoassocMatrix:
 def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Add each cluster's weight to every pair of its members, then divide by M,
     over one representative object per microcluster. Clusters go in id order,
-    so every entry is the same sum, added in the same order, as the N x N
-    entry of its representatives. Returns a `CoassocMatrix`'s `values`, still
+    one `np.add.at` scatter of distinct cells after another, so every entry
+    is the same sum, added in the same order, as the N x N entry of its
+    representatives. Returns a `CoassocMatrix`'s `values`, still
     writable (the builders freeze it, and the average-link path of `lwea` and
     `eac` works in it in place), and its `leaf`.
 
@@ -71,6 +72,7 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
     and the mirror adds the transpose (`_add_transpose`; the strict upper
     triangle is 0) and halves the exactly doubled diagonal: O(sum c(c+1)/2)
     scattered adds plus O(p^2) for the mirror and the division. Temporaries:
+    the p x M row ids, as keys of the smallest type that holds n_c (a radix sort);
     one int64 array of c_max(c_max+1)/2 pair columns for the largest cluster,
     two of at most SCATTER_PAIRS entries per scatter call, and the mirror's
     BLOCK_ROWS x p block; no second p x p array.
@@ -91,19 +93,20 @@ def _accumulate(view: EnsembleView, weights: np.ndarray) -> tuple[np.ndarray, np
     # c-row cluster.
     ids = view.cluster_ids[first].ravel()
     sizes = np.bincount(ids, minlength=view.n_clusters)
-    cluster_rows = np.split(np.argsort(ids, kind="stable") // view.n_clusterings, np.cumsum(sizes)[:-1])
+    order = np.argsort(ids.astype(np.min_scalar_type(view.n_clusters)), kind="stable") // view.n_clusterings
     c_max = sizes.max()
     low = np.tril_indices(c_max)[1]
     row_pairs = np.arange(1, c_max + 1)
     step = max(1, SCATTER_PAIRS // c_max)  # triangle rows per scatter
     values = np.zeros((p, p))
     flat = values.ravel()
-    for rows, weight in zip(cluster_rows, weights):
-        for j0 in range(0, rows.size, step):
-            j1 = min(j0 + step, rows.size)
+    for weight, stop, size in zip(weights, np.cumsum(sizes), sizes):
+        rows = order[stop - size : stop]
+        for j0 in range(0, size, step):
+            j1 = min(j0 + step, size)
             cells = np.repeat(rows[j0:j1] * p, row_pairs[j0:j1])
             cells += rows[low[j0 * (j0 + 1) // 2 : j1 * (j1 + 1) // 2]]
-            flat[cells] += weight
+            np.add.at(flat, cells, weight)
     _add_transpose(values)
     values.flat[:: p + 1] /= 2  # each diagonal cell was doubled, exactly
     values /= view.n_clusterings

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coassoc import CoassocMatrix, _ca, _lwca
 from .ensemble import BLOCK_ROWS, ConsensusResult, EnsembleView, relabel_first_appearance
-from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
+from .validity import DEFAULT_THETA, ValidityReport, _require_live_edges, annotate_validity
 
 __all__ = [
     "Dendrogram",
@@ -423,11 +423,14 @@ def lwea(
     """Locally weighted evidence accumulation: weighted co-association + average link.
 
     Passing a precomputed `report` skips the validity annotation (and ignores
-    `theta`), e.g. to reuse one annotation across several cuts.
+    `theta`), e.g. to reuse one annotation across several cuts. Raises
+    ValueError, as `lwgp` does, if some object's cluster weights all underflow to 0.
     """
     if report is None:
         report = annotate_validity(view, theta)
-    cut = cut_dendrogram(_dendrogram(*_lwca(view, report)), k)
+    values, leaf = _lwca(view, report)
+    _require_live_edges(view, report.eci, f" at theta={report.theta:g}; use a larger theta")
+    cut = cut_dendrogram(_dendrogram(values, leaf), k)
     return ConsensusResult(labels=cut.labels, k=k, method="lwea")
 
 

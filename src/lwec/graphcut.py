@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import ConsensusResult, EnsembleView, _add_transpose, relabel_first_appearance
 from .kmeans import kmeans
-from .validity import DEFAULT_THETA, ValidityReport, annotate_validity
+from .validity import DEFAULT_THETA, ValidityReport, _require_live_edges, annotate_validity
 
 __all__ = [
     "PartitionWarning",
@@ -88,16 +88,6 @@ class BipartiteGraph:
         return self.view.n_clusters
 
 
-def _require_live_edges(graph: BipartiteGraph, advice: str = "") -> None:
-    """Raise ValueError naming the first object whose clusters all weigh 0."""
-    _, first, counts = graph.view._rows
-    isolated = np.flatnonzero((graph.weights[graph.cluster_ids[first]] == 0).all(axis=1))
-    if isolated.size:
-        raise ValueError(
-            f"{counts[isolated].sum()} objects (first {first[isolated[0]]}) have only zero-weight clusters{advice}"
-        )
-
-
 def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
     """Build the reliability-weighted bipartite graph of an annotated ensemble,
     `BipartiteGraph(view, report.eci)`.
@@ -106,7 +96,7 @@ def build_lwbg(view: EnsembleView, report: ValidityReport) -> BipartiteGraph:
     all of some object's cluster weights underflow to 0.
     """
     graph = BipartiteGraph(view, report.eci)
-    _require_live_edges(graph, f" at theta={report.theta:g}; use a larger theta")
+    _require_live_edges(view, graph.weights, f" at theta={report.theta:g}; use a larger theta")
     return graph
 
 
@@ -147,44 +137,50 @@ def _connected_components(graph: BipartiteGraph) -> np.ndarray:
     Min-label propagation row -> cluster -> row over the view's p distinct
     rows plus pointer jumping (a label always names a row of the same
     component), until each component carries its least row, which holds its
-    least object, as rows are numbered by first appearance.
+    least object, as rows are numbered by first appearance. The rows' ids
+    are laid out M x p, so each pass runs p long; the work is integer, so
+    exact. Memory O(p M + n_c).
     """
     row, first, _ = graph.view._rows
-    ids = graph.cluster_ids[first]
+    m, p = graph.view.n_clusterings, first.size
+    # 1-D ids and values: numpy 2.4.6's ufunc.at misreads values broadcast along a 2-D index's leading axis
+    ids = graph.cluster_ids[first].T.ravel()
     dead = graph.weights == 0
-    p = first.size
     comp = np.arange(p)
     while True:
         low = np.full(graph.n_clusters, p)
-        np.minimum.at(low, ids, comp[:, None])
+        np.minimum.at(low, ids, np.tile(comp, m))
         low[dead] = p
-        step = np.minimum(comp, low[ids].min(axis=1))
+        step = np.minimum(comp, low[ids].reshape(m, p).min(axis=0))
         step = step[step]
         if np.array_equal(step, comp):
             return relabel_first_appearance(comp)[row]
         comp = step
 
 
-def _cluster_graph(edges: _Edges, share: np.ndarray) -> np.ndarray:
-    """W_c = B^T D_o^-1 B from the edges, where share = D_o^-1 B per edge.
+def _cluster_graph(edges: _Edges) -> np.ndarray:
+    """W_c = B^T D_o^-1 B from the edges.
 
     Filled one ensemble column at a time: column a's live edges reach the
     rows between their least and greatest cluster id, and one bincount over
-    (row, cluster) keys of all N x M edges fills those rows. Memory stays
-    O(N M + n_c^2); no N x M^2 pair list and no N x n_c matrix is built.
+    (row, cluster) keys of all the edges, laid out M x N so each pass runs N
+    long, fills those rows. A key is reached from one column's edges only
+    (a dead edge adds 0.0), object after object, so its adds keep the order
+    and bits of an N x M layout. Memory O(N M + n_c^2), no N x n_c matrix:
+    M x N ids (turned into each column's keys in place, then back), D_o^-1 B and a product.
     """
-    columns, weights, nc = edges.columns, edges.weights, edges.n_clusters
+    nc, columns = edges.n_clusters, np.ascontiguousarray(edges.columns.T)
+    share = np.divide(edges.weights.T, edges.degrees[: columns.shape[1]], order="C")
     w_c = np.zeros((nc, nc))
-    for a in range(columns.shape[1]):
-        live = weights[:, a] > 0
+    for column, weight in zip(columns, map(np.ascontiguousarray, edges.weights.T)):
+        live = weight > 0
         if not live.any():
             continue
-        lo, hi = int(columns[live, a].min()), int(columns[live, a].max()) + 1
-        # a dead edge keys row lo and adds 0.0
-        keys = (np.where(live, columns[:, a] - lo, 0) * nc)[:, None] + columns
-        block = np.bincount(
-            keys.ravel(), weights=(weights[:, a, None] * share).ravel(), minlength=(hi - lo) * nc
-        )
+        lo, hi = int(column[live].min()), int(column[live].max()) + 1
+        offset = np.where(live, column - lo, 0) * nc  # a dead edge keys row lo and adds 0.0
+        columns += offset
+        block = np.bincount(columns.ravel(), weights=(weight * share).ravel(), minlength=(hi - lo) * nc)
+        columns -= offset
         w_c[lo:hi] += block.reshape(hi - lo, nc)
     return w_c
 
@@ -448,13 +444,13 @@ def _tcuts(graph: BipartiteGraph, ks, seed=0) -> list[np.ndarray]:
     for k in ks:
         if not 2 <= k <= min(n, nc):
             raise ValueError(f"infeasible k: need 2 <= k <= min(objects={n}, clusters={nc}), got {k}")
-    _require_live_edges(graph)
+    _require_live_edges(graph.view, graph.weights)
     components = _connected_components(graph)
     n_components = int(components.max()) + 1
     spectral = [k for k in ks if k >= n_components]
     if spectral:
         edges = _edges(graph)
-        sym = _cluster_graph(edges, edges.weights / edges.degrees[:n, None])
+        sym = _cluster_graph(edges)
         inv_sqrt = 1.0 / np.sqrt(sym.sum(axis=1))
         sym *= inv_sqrt[:, None]
         sym *= inv_sqrt[None, :]

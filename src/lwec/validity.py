@@ -39,29 +39,47 @@ def uncertainty_table(view: EnsembleView) -> np.ndarray:
 
 
 def _uncertainty_table(view: EnsembleView) -> np.ndarray:
-    """Build `uncertainty_table(view)`. For each target column m, one bincount
-    over `cluster_ids * k_m + labels[:, m]` counts every cluster's members per
-    column-m cluster at once, so the whole table is M bincounts. They run
-    over the p distinct label rows of `view._rows`, p x M keys each weighted
-    by its row's object count: the counts are exact integers, so every
-    entropy has the bits of the N x M count. O(p * M^2) work.
+    """Build `uncertainty_table(view)` from pair counts over the p distinct
+    label rows of `view._rows`, each column pair counted once. With the rows'
+    cluster ids laid out M x p, one bincount per column b of the keys
+    `ids[:b] * k_b + (ids[b] - offset_b)`, weighted by row object counts,
+    counts each cluster of the columns before b against column b's clusters;
+    the block and its transpose fill one n_c x n_c int32 store (n_c^2 * 4
+    bytes, freed on return). The counts are exact, and a cluster's counts
+    over one column add up to its size, so count / size is the float that
+    the row sum gave; each (n_c, k_b) column block then runs the same where,
+    log2, product and row sum, so every entry keeps its bits. O(p M^2 / 2)
+    keys plus O(n_c^2) entropy terms.
     """
     _, first, sizes = view._rows
-    labels = view.labels.labels[first]
-    ids = view.cluster_ids[first]
-    weight = np.repeat(sizes.astype(np.float64), view.n_clusterings)
-    counts = view.labels.clusters_per_column
-    offsets = view.column_offsets
+    ids = np.ascontiguousarray(view.cluster_ids[first].T)
+    weight = np.tile(sizes.astype(np.float64), view.n_clusterings)
+    size = np.bincount(ids.ravel(), weight, minlength=view.n_clusters)
+    counts = np.zeros((view.n_clusters, view.n_clusters), dtype=np.int32)
     table = np.zeros((view.n_clusters, view.n_clusterings))
-    for b, k_b in enumerate(counts):
-        keys = ids * k_b + labels[:, b, None]
-        pairs = np.bincount(keys.ravel(), weight, minlength=view.n_clusters * k_b).reshape(-1, k_b)
-        p = pairs / pairs.sum(axis=1, keepdims=True)
+    bounds = list(zip(view.column_offsets[:-1], view.column_offsets[1:]))
+    for b, (lo, hi) in enumerate(bounds):
+        keys = ids[:b] * (hi - lo) + (ids[b] - lo)
+        block = np.bincount(keys.ravel(), weight[: keys.size], minlength=lo * (hi - lo)).reshape(lo, hi - lo)
+        counts[:lo, lo:hi] = block
+        counts[lo:hi, :lo] = block.T
+    for b, (lo, hi) in enumerate(bounds):
+        pairs = counts[:, lo:hi]
+        p = pairs / size[:, None]
         safe_p = np.where(pairs > 0, p, 1.0)
-        ent = -(p * np.log2(safe_p)).sum(axis=1)
-        table[:, b] = np.maximum(ent, 0.0)
-        table[offsets[b]:offsets[b + 1], b] = 0.0
+        table[:, b] = np.maximum(-(p * np.log2(safe_p)).sum(axis=1), 0.0)
+        table[lo:hi, b] = 0.0
     return table
+
+
+def _require_live_edges(view: EnsembleView, weights: np.ndarray, advice: str = "") -> None:
+    """Raise ValueError naming the first object whose clusters all weigh 0."""
+    _, first, counts = view._rows
+    isolated = np.flatnonzero((weights[view.cluster_ids[first]] == 0).all(axis=1))
+    if isolated.size:
+        raise ValueError(
+            f"{counts[isolated].sum()} objects (first {first[isolated[0]]}) have only zero-weight clusters{advice}"
+        )
 
 
 def eci(uncertainty: float, theta: float, ensemble_size: int) -> float:

@@ -607,7 +607,7 @@ def embedding_eigh_ref(edges, k: int) -> np.ndarray:
     from lwec.graphcut import _cluster_graph, _transfer
 
     share = edges.weights / edges.weights.sum(axis=1)[:, None]  # D_o^-1 B, one entry per edge
-    w_c = _cluster_graph(edges, share)
+    w_c = _cluster_graph(edges)
     inv_sqrt = 1.0 / np.sqrt(w_c.sum(axis=1))
     w_c *= inv_sqrt[:, None]
     w_c *= inv_sqrt[None, :]
@@ -619,6 +619,26 @@ def embedding_eigh_ref(edges, k: int) -> np.ndarray:
     norms = np.linalg.norm(f_obj, axis=1)
     norms[norms == 0] = 1.0
     return f_obj / norms[:, None]
+
+
+def cluster_graph_loop_ref(edges, share: np.ndarray) -> np.ndarray:
+    """`lwec.graphcut._cluster_graph` before its keys were laid out column by
+    column, verbatim: W_c = B^T D_o^-1 B, one bincount over N x M (row,
+    cluster) keys per ensemble column."""
+    columns, weights, nc = edges.columns, edges.weights, edges.n_clusters
+    w_c = np.zeros((nc, nc))
+    for a in range(columns.shape[1]):
+        live = weights[:, a] > 0
+        if not live.any():
+            continue
+        lo, hi = int(columns[live, a].min()), int(columns[live, a].max()) + 1
+        # a dead edge keys row lo and adds 0.0
+        keys = (np.where(live, columns[:, a] - lo, 0) * nc)[:, None] + columns
+        block = np.bincount(
+            keys.ravel(), weights=(weights[:, a, None] * share).ravel(), minlength=(hi - lo) * nc
+        )
+        w_c[lo:hi] += block.reshape(hi - lo, nc)
+    return w_c
 
 
 def transfer_objects_ref(edges, share: np.ndarray, f_cluster: np.ndarray) -> np.ndarray:

@@ -308,10 +308,12 @@ class TestZeroWeights:
         assert np.unique(graph_labels).size == 3
         assert np.unique(tree_labels).size == 3
 
-    def test_object_with_only_zero_weight_clusters_rejected(self, blob_view_m20):
+    @pytest.mark.parametrize("method", ["lwea", "lwgp"])
+    def test_object_with_only_zero_weight_clusters_rejected(self, blob_view_m20, method):
         assert annotate_validity(blob_view_m20, 1e-9).eci.any()
-        with pytest.raises(ValueError, match="theta=1e-09"):
-            lwgp(blob_view_m20, 3, theta=1e-9, seed=0)
+        consensus = {"lwea": lwea, "lwgp": lambda view, k, theta: lwgp(view, k, theta=theta, seed=0)}[method]
+        with pytest.raises(ValueError, match=r"194 objects \(first 0\) have only zero-weight clusters at theta=1e-09"):
+            consensus(blob_view_m20, 3, theta=1e-9)
 
     def test_all_weights_zero_rejected(self):
         rng = np.random.default_rng(61)
@@ -478,7 +480,7 @@ class TestSparseSpectral:
             deg_obj = edges.weights.sum(axis=1)
             assert np.allclose(deg_obj, b.sum(axis=1), rtol=1e-12, atol=0)
             share = edges.weights / deg_obj[:, None]
-            w_c = graphcut._cluster_graph(edges, share)
+            w_c = graphcut._cluster_graph(edges)
             dense_share = b / b.sum(axis=1)[:, None]
             dense_w_c = b.T @ dense_share
             assert np.allclose(w_c, dense_w_c, rtol=1e-12, atol=0)
@@ -486,7 +488,21 @@ class TestSparseSpectral:
             f_cluster = rng.standard_normal((b.shape[1], 3))
             f_obj = graphcut._transfer(edges, share, f_cluster)
             assert np.allclose(f_obj, dense_share @ f_cluster, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(w_c, ref.cluster_graph_loop_ref(edges, share))
         assert dead_columns > 0
+
+    @pytest.mark.parametrize(
+        "n, ks, seed, noise",
+        [
+            (1000, np.rint(np.linspace(2, 32, 60)).astype(int), 10, 0.1),  # the wide-noisy family
+            (10_000, np.rint(np.linspace(2, 100, 10)).astype(int), 1, 0.0),  # the lwgp-large family
+        ],
+        ids=["wide", "lwgp-large"],
+    )
+    def test_cluster_graph_keeps_the_loop_bits(self, n, ks, seed, noise):
+        edges = graphcut._edges(graph_from(blob_voronoi_view(n, ks, seed, noise), 0.4))
+        share = edges.weights / edges.degrees[:n, None]
+        assert np.array_equal(graphcut._cluster_graph(edges), ref.cluster_graph_loop_ref(edges, share))
 
 
 def live_labels(graph):
