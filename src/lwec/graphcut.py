@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .ensemble import ConsensusResult, EnsembleView, _add_transpose, relabel_first_appearance
-from .kmeans import kmeans
+from .kmeans import _lloyd
 from .validity import DEFAULT_THETA, ValidityReport, _require_live_edges, annotate_validity
 
 __all__ = [
@@ -107,8 +107,8 @@ class _Edges(NamedTuple):
     object i's m-th cluster, and weights[i, m] is that edge's weight divided
     by the largest edge weight (the normalized cut is scale-invariant). An
     edge into a zero-weight cluster has column 0 and weight 0. degrees holds the
-    N + n_c node degrees, objects first. row and first are the view's
-    distinct-row numbering: object i has the edges of object first[row[i]].
+    N + n_c node degrees, objects first. (row, first, counts) is the view's
+    `_rows`: object i has the edges of first[row[i]], row r counts[r] objects.
     """
 
     columns: np.ndarray
@@ -117,6 +117,7 @@ class _Edges(NamedTuple):
     degrees: np.ndarray
     row: np.ndarray
     first: np.ndarray
+    counts: np.ndarray
 
 
 def _edges(graph: BipartiteGraph) -> _Edges:
@@ -127,8 +128,7 @@ def _edges(graph: BipartiteGraph) -> _Edges:
     weights /= weights.max()
     nc = int(keep.sum())
     cluster_degrees = np.bincount(columns.ravel(), weights=weights.ravel(), minlength=nc)
-    row, first, _ = graph.view._rows
-    return _Edges(columns, weights, nc, np.concatenate([weights.sum(axis=1), cluster_degrees]), row, first)
+    return _Edges(columns, weights, nc, np.concatenate([weights.sum(axis=1), cluster_degrees]), *graph.view._rows)
 
 
 def _connected_components(graph: BipartiteGraph) -> np.ndarray:
@@ -159,20 +159,24 @@ def _connected_components(graph: BipartiteGraph) -> np.ndarray:
 
 
 def _cluster_graph(edges: _Edges) -> np.ndarray:
-    """W_c = B^T D_o^-1 B from the edges.
+    """W_c = B^T D_o^-1 B from the edges of the view's p distinct label rows.
 
     Filled one ensemble column at a time: column a's live edges reach the
-    rows between their least and greatest cluster id, and one bincount over
-    (row, cluster) keys of all the edges, laid out M x N so each pass runs N
-    long, fills those rows. A key is reached from one column's edges only
-    (a dead edge adds 0.0), object after object, so its adds keep the order
-    and bits of an N x M layout. Memory O(N M + n_c^2), no N x n_c matrix:
-    M x N ids (turned into each column's keys in place, then back), D_o^-1 B and a product.
+    W_c rows between their least and greatest cluster id, and one bincount
+    over (W_c row, cluster) keys of all the edges, laid out M x p, fills
+    them. Row r's edge of D_o^-1 B entry share, seen from its column-a edge
+    of weight w, adds w * (share * counts[r]); a key is reached from one
+    column's edges only (a dead edge adds 0.0), row after row. Where p = N
+    each count is 1.0 and W_c has the object loop's bits; elsewhere entries
+    move within rounding (5.2e-15 relative on lwgp-large). Memory
+    O(p M + n_c^2): M x p ids (keyed in place, then back), shares, a product.
     """
-    nc, columns = edges.n_clusters, np.ascontiguousarray(edges.columns.T)
-    share = np.divide(edges.weights.T, edges.degrees[: columns.shape[1]], order="C")
+    nc, first = edges.n_clusters, edges.first
+    columns = np.ascontiguousarray(edges.columns[first].T)
+    share = np.divide(edges.weights[first].T, edges.degrees[first], order="C") * edges.counts
     w_c = np.zeros((nc, nc))
-    for column, weight in zip(columns, map(np.ascontiguousarray, edges.weights.T)):
+    for a, column in enumerate(columns):
+        weight = edges.weights[first, a]
         live = weight > 0
         if not live.any():
             continue
@@ -186,14 +190,14 @@ def _cluster_graph(edges: _Edges) -> np.ndarray:
 
 
 def _transfer(edges: _Edges, share: np.ndarray, f_cluster: np.ndarray) -> np.ndarray:
-    """Object rows of D_o^-1 B f_cluster, an M-term sum per object, made once
-    per distinct row (the same operations, in the same order, as each of its
-    objects') and gathered."""
+    """Rows of D_o^-1 B f_cluster, one per distinct label row of the view: an
+    M-term sum made as each of the row's objects' would be, so object i's is
+    row edges.row[i]."""
     share, columns = share[edges.first], edges.columns[edges.first]
     f_rows = np.zeros((edges.first.size, f_cluster.shape[1]))
     for m in range(share.shape[1]):
         f_rows += share[:, m, None] * f_cluster[columns[:, m]]
-    return f_rows[edges.row]
+    return f_rows
 
 
 def _top_eigenvectors(sym: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +266,7 @@ def _sweep_starts(edges: _Edges, values: np.ndarray, u: np.ndarray, k: int) -> I
     n, nc, deg = edges.columns.shape[0], edges.n_clusters, edges.degrees
     # a null direction's eigenvalue rounds to about 0 or below; its objects then sit near 0
     scale = np.sqrt(np.maximum(values, np.finfo(float).tiny))
-    axes = np.vstack([_transfer(edges, edges.weights / deg[:n, None], u) / scale, u]).T
+    axes = np.vstack([_transfer(edges, edges.weights / deg[:n, None], u)[edges.row] / scale, u]).T
     live = edges.weights > 0
     ends = np.column_stack([np.nonzero(live)[0], n + edges.columns[live]])
     w = edges.weights[live]
@@ -313,21 +317,17 @@ def _refine_partition(
     is judged on the state a node-by-node loop would show it, and the moves,
     labels and cut value are that loop's. The state is each node's link
     weight into each segment, (N + n_c) x k; an object move updates the
-    links of its M clusters, a cluster move those of its members (read from
-    a CSR of the live edges, built once). A pass costs O((N + n_c) k) array
-    work plus one block evaluation per move.
+    links of its M clusters, a cluster move those of its members (the
+    objects of the label rows with a live edge into it, found at the move).
+    A pass costs O((N + n_c) k) array work plus one block evaluation per move.
     """
     columns, weights, nc, deg = edges.columns, edges.weights, edges.n_clusters, edges.degrees
-    n, m = columns.shape
+    n = columns.shape[0]
     nodes = n + nc
     live = weights > 0
+    row_columns, row_live = columns[edges.first], live[edges.first]
     cluster_weight = np.zeros(nc)
-    cluster_weight[columns[live]] = weights[live]
-    member_of = columns[live]
-    objects = np.broadcast_to(np.arange(n)[:, None], (n, m))[live]
-    # a stable sort of ints of 16 bits or less is a radix sort: same permutation
-    members = objects[np.argsort(member_of.astype(np.min_scalar_type(nc)), kind="stable")]
-    starts = np.concatenate([[0], np.cumsum(np.bincount(member_of, minlength=nc))])
+    cluster_weight[row_columns[row_live]] = weights[edges.first][row_live]
 
     full = np.empty(nodes, dtype=np.int64)
     full[:n] = labels
@@ -379,7 +379,8 @@ def _refine_partition(
             if u < n:
                 touched, moved = n + columns[u, live[u]], weights[u, live[u]]
             else:
-                touched, moved = members[starts[u - n]:starts[u - n + 1]], cluster_weight[u - n]
+                held = ((row_columns == u - n) & row_live).any(axis=1)
+                touched, moved = np.flatnonzero(held[edges.row]), cluster_weight[u - n]
             links[touched, s_from] -= moved
             links[touched, s_to] += moved
             full[u] = s_to
@@ -413,12 +414,12 @@ def tcut_partition(graph: BipartiteGraph, k: int, seed=0) -> ConsensusResult:
 
     The steps read the N x M edges of the graph's view (see `_Edges`).
     Objects with equal label rows have equal edges, so the live-edge check,
-    the components and the transfers of the embedding and the sweeps run
-    once per distinct row of the view and are gathered to the objects, with
-    each row's M-term sum made as each of its objects' would be. W_c
-    (`_cluster_graph`), the degrees, k-means and the refinement's block
-    scan (`_refine_partition`) run over the objects, in object order, so
-    every sum keeps its bits. Memory is O(N M + n_c^2); no dense N x n_c
+    the components, W_c, the transfers, k-means' distances and a moved
+    cluster's members run once per distinct row of the view. The transfers
+    and k-means keep the bits of a per-object run; W_c weighs each row by its
+    object count, so where rows repeat its entries move within rounding. The
+    degrees, the k-means draws and centroid sums and the refinement's block
+    scan run over the objects. Memory is O(N M + n_c^2); no dense N x n_c
     affinity is built.
 
     If the graph splits into more than k connected components, components are
@@ -473,7 +474,7 @@ def _tcuts(graph: BipartiteGraph, ks, seed=0) -> list[np.ndarray]:
         norms = np.linalg.norm(embedding, axis=1)
         norms[norms == 0] = 1.0
         embedding /= norms[:, None]
-        raw = kmeans(embedding, k, seed=seed)
+        raw = _lloyd(embedding, k, seed, edges.row)[0]
         del embedding  # so that the refinement's peak memory does not hold it
         refined, value = _refine_partition(edges, raw, k)
         # only graphs of a few clusters pass the gate, and they take the eigh path

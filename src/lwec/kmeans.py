@@ -12,6 +12,10 @@ column, as `mean(axis=0)` does down the rows of a 2-D selection; a squared
 distance adds the d per-column terms left to right, as numpy does for fewer
 than 8 contiguous terms. Where numpy sums pairwise instead (a one-column
 mean, and distances over d >= 8 columns), the step keeps numpy's expression.
+
+With a row map (`_lloyd`'s `row`: object i is point row[i]) only the
+distances and their argmin run once per point; the ++ draws, objective,
+repairs and centroid sums run over the objects, with the gathered bits.
 """
 
 from __future__ import annotations
@@ -47,28 +51,30 @@ def _centroids(x: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndar
     return sums / counts[:, None]
 
 
-def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
+def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator, row) -> np.ndarray:
+    at = np.arange(points.shape[0]) if row is None else row
+    n = at.size
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = ((points - points[at[chosen[0]]]) ** 2).sum(axis=1)
     for _ in range(k - 1):
-        total = d2.sum()
+        full = d2 if row is None else d2[row]
+        total = full.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
             r = rng.random() * total
-            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+            idx = min(int(np.searchsorted(np.cumsum(full), r, side="right")), n - 1)
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+        d2 = np.minimum(d2, ((points - points[at[idx]]) ** 2).sum(axis=1))
+    return points[at[chosen]]
 
 
-def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Full k-means run; returns (labels, centers, per-iteration objective, repairs)."""
+def _lloyd(points: np.ndarray, k: int, seed, row=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Full k-means run, of points[row] if given; returns (labels, centers, per-iteration objective, repairs)."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
-    n = x.shape[0]
+    n = x.shape[0] if row is None else row.size
     if x.shape[1] < 1:
         raise ValueError(f"feature matrix needs at least one column, got shape {x.shape}")
     if not np.isfinite(x).all():
@@ -76,21 +82,23 @@ def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    centers = _plusplus_init(x, k, rng)
-    labels = np.zeros(n, dtype=np.int64)
+    centers = _plusplus_init(x, k, rng, row)
+    objects = x if row is None else x[row]
     objective: list[float] = []
     repairs = 0
     for _ in range(MAX_ITER):
         d2 = _squared_distances(x, centers)
         labels = d2.argmin(axis=1)
-        objective.append(float(d2[np.arange(n), labels].sum()))
+        assigned = d2[np.arange(labels.size), labels]
+        if row is not None:
+            labels, assigned = labels[row], assigned[row]
+        objective.append(float(assigned.sum()))
         # re-seed empty clusters from the point farthest from its centroid,
         # never stealing the sole member of another cluster
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             repairs += 1
-            assigned = d2[np.arange(n), labels].copy()
             for empty in empties:
                 eligible = np.where(counts[labels] > 1, assigned, -1.0)
                 farthest = int(np.argmax(eligible))
@@ -98,7 +106,7 @@ def _lloyd(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray, np
                 counts[empty] += 1
                 labels[farthest] = empty
                 assigned[farthest] = -1.0
-        new_centers = _centroids(x, labels, counts)
+        new_centers = _centroids(objects, labels, counts)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < SHIFT_TOL:

@@ -601,9 +601,10 @@ def coassoc_dense_ref(view, weights: np.ndarray) -> np.ndarray:
 
 
 def embedding_eigh_ref(edges, k: int) -> np.ndarray:
-    """`lwec.graphcut._embedding` before the block Lanczos, verbatim: the k
-    leading eigenvectors of the normalized W_c from a full eigh at every
-    size, transferred to the objects and row-normalized."""
+    """`lwec.graphcut._embedding` before the block Lanczos: the k leading
+    eigenvectors of the normalized W_c from a full eigh at every size,
+    transferred to the objects (each its label row's transfer) and
+    row-normalized."""
     from lwec.graphcut import _cluster_graph, _transfer
 
     share = edges.weights / edges.weights.sum(axis=1)[:, None]  # D_o^-1 B, one entry per edge
@@ -615,7 +616,7 @@ def embedding_eigh_ref(edges, k: int) -> np.ndarray:
     del w_c
     sym /= 2
     _, vecs = np.linalg.eigh(sym)
-    f_obj = _transfer(edges, share, vecs[:, -k:])
+    f_obj = _transfer(edges, share, vecs[:, -k:])[edges.row]
     norms = np.linalg.norm(f_obj, axis=1)
     norms[norms == 0] = 1.0
     return f_obj / norms[:, None]
@@ -638,6 +639,23 @@ def cluster_graph_loop_ref(edges, share: np.ndarray) -> np.ndarray:
             keys.ravel(), weights=(weights[:, a, None] * share).ravel(), minlength=(hi - lo) * nc
         )
         w_c[lo:hi] += block.reshape(hi - lo, nc)
+    return w_c
+
+
+def cluster_graph_rows_ref(edges, share: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """W_c = B^T D_o^-1 B over the distinct rows of the N x M label table
+    (`distinct_rows_ref`), each standing for its objects: for every pair of
+    ensemble columns (a, m), row after row in first-appearance order, the
+    row's edge pair adds w_a * (share_m * count) to W_c[c_a, c_m]. One
+    `np.add.at` per column pair, no keys."""
+    _, first, counts = distinct_rows_ref(table)
+    columns, weights = edges.columns[first], edges.weights[first]
+    counted = share[first] * counts[:, None]
+    w_c = np.zeros((edges.n_clusters, edges.n_clusters))
+    for a in range(columns.shape[1]):
+        live = weights[:, a] > 0
+        for m in range(columns.shape[1]):
+            np.add.at(w_c, (columns[live, a], columns[live, m]), weights[live, a] * counted[live, m])
     return w_c
 
 

@@ -129,6 +129,52 @@ class TestLloydExact:
             assert_lloyd_matches_ref(x, int(rng.integers(1, 9)), trial)
 
 
+def assert_row_map_matches(rows, row, k, seed):
+    """`_lloyd` on the distinct rows with a row map has the bits of `_lloyd`
+    and `lloyd_ref` on the gathered points. Returns its repair count."""
+    got = _lloyd(rows, k, seed, row)
+    for want in (_lloyd(rows[row], k, seed), ref.lloyd_ref(rows[row], k, seed)):
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got[3] == want[3]
+    return got[3]
+
+
+def row_map(rng, p, n):
+    """n objects over p rows, each row used at least once, in shuffled order."""
+    return rng.permutation(np.concatenate([np.arange(p), rng.integers(0, p, size=n - p)]))
+
+
+class TestLloydRowMap:
+    """k-means over distinct rows (the transfer cut's embedding) keeps the
+    bits of k-means over the objects: draws, objective, repairs, centroids."""
+
+    @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 160), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_gathered_points(self, d, p, extra, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.round(rng.normal(size=(p, d)) * 3, int(rng.integers(0, 3)))
+        row = row_map(rng, p, p + extra)
+        assert_row_map_matches(rows, row, int(rng.integers(1, p + extra + 1)), seed)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_on_many_repeated_rows(self, d):
+        # about 4 objects per row, clusters of 8 or more members, and distances over 8 or more columns
+        rng = np.random.default_rng(200 + d)
+        for trial in range(8):
+            p = int(rng.integers(10, 60))
+            rows = rng.normal(size=(p, d)) * 10 ** rng.uniform(-2, 2)
+            assert_row_map_matches(rows, row_map(rng, p, 4 * p), int(rng.integers(1, 9)), trial)
+
+    def test_matches_through_an_empty_cluster_repair(self):
+        # 3 distinct rows and k = 5: the ++ draws pick repeated points, whose
+        # centers tie, so the later ones start empty and are re-seeded
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(3, 2))
+        assert assert_row_map_matches(rows, row_map(rng, 3, 60), 5, 11) > 0
+
+
 @pytest.fixture(scope="module")
 def features():
     x, _ = make_gaussian_blobs(100, [[0, 0], [6, 6], [12, 0]], spread=1.0, seed=2)
